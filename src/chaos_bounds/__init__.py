@@ -35,7 +35,6 @@ from .progeny import (
     ProgenyMomentTable,
     abel_plana_bound,
     borel_pmf,
-    compositions,
     consul_pmf,
     factorial_moments,
     progeny_moment,

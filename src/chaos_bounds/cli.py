@@ -715,18 +715,18 @@ def _build_config(args) -> RunConfig:
 
 
 def _emit(cfg: RunConfig, payload: dict, samples) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
     if cfg.format == "csv":
         if samples is None:
             raise DomainError(
                 "csv output is only available for verify commands that draw samples"
             )
-        sys.stdout.write(samples_csv_text(samples))
+        text = samples_csv_text(samples)
     else:
-        print(text)
+        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    sys.stdout.write(text)
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     if cfg.dump_samples:
         if samples is None:
             raise DomainError("--dump-samples requires a command that draws samples")

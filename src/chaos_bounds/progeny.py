@@ -1,29 +1,30 @@
 """Moments of the total progeny of a subcritical Galton-Watson cascade.
 
 Z counts every individual of a cascade started by one ancestor, the ancestor
-included.  With P the offspring variable, all moments of Z are polynomial in
-the factorial moments E(P)_i = E[P(P-1)...(P-i+1)], via the recursion
+included.  With P the offspring variable, Z = 1 + Z_1 + ... + Z_P for
+independent copies Z_j, so M(t) = E e^{tZ} solves the fixed point
 
-    E Z^n = ( 1 + sum_{k=1..n-1} k! C(n,k) sum_{i=1..k} E(P)_i/i! *
-                  sum_{m_1+..+m_i=k} prod_j E Z^{m_j}/m_j!
-                + n! sum_{i=2..n} E(P)_i/i! *
-                  sum_{m_1+..+m_i=n} prod_j E Z^{m_j}/m_j! ) / (1 - E P),
+    M(t) = e^t G_P(M(t)),   G_P(s) = sum_i E(P)_i (s - 1)^i / i!,
 
-where the inner sums run over ordered compositions into positive parts (only
-parts < n appear for i >= 2, so the right-hand side uses lower moments only).
+in the factorial moments E(P)_i = E[P(P-1)...(P-i+1)] (the total-progeny /
+Lagrange-inversion view of Dwass 1969).  ``progeny_moment`` and
+``progeny_moment_table`` read E Z^1..E Z^n off its power series, one order
+at a time, in O(n^3) total work.
 
-The Poisson(h) cascade makes Z Borel-distributed and the Binomial(h, p)
-cascade makes it Consul-distributed; the pmf series give an independent check
-of the recursion.
+Two independent routes stay as oracles: ``progeny_moment_closed`` holds the
+closed expressions for n <= 4, and ``progeny_moment_series`` sums k^m
+against the total-progeny pmf, which is Borel for the Poisson(h) cascade and
+Consul for the Binomial(h, p) cascade.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DomainError,
@@ -143,64 +144,57 @@ def factorial_moments(law: OffspringLaw, n_max: int) -> list[float]:
     return list(law.values[:n_max])
 
 
-def compositions(k: int, i: int) -> list[tuple[int, ...]]:
-    """All ordered i-tuples of positive integers summing to k, lexicographic.
-
-    There are C(k-1, i-1) of them; the list is empty when i > k.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError("k must be an integer >= 1")
-    if not (isinstance(i, (int, np.integer)) and i >= 1):
-        raise DomainError("i must be an integer >= 1")
-    if i > k:
-        return []
-    if i == 1:
-        return [(k,)]
-    out: list[tuple[int, ...]] = []
-    for first in range(1, k - i + 2):
-        for rest in compositions(k - first, i - 1):
-            out.append((first,) + rest)
-    return out
-
-
 def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
-    """[E Z^1, ..., E Z^n] by the recursion, lower orders memoized locally."""
+    """[E Z^1, ..., E Z^n] from the fixed point M(t) = e^t G_P(M(t)).
+
+    With u = M - 1 = sum_k c_k t^k, c_k = E Z^k / k! and f_i = E(P)_i / i!,
+    matching t^order coefficients gives
+
+        c_order (1 - E P) = sum_{i>=2} f_i [u^i]_order
+                            + sum_{k<order} [G_P(M)]_k / (order-k)!,
+
+    where [u^i]_order (i >= 2) needs only c_1..c_{order-1}.  Each order costs
+    O(order^2) and every term is >= 0, so nothing cancels.
+    """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError("moment order must be an integer >= 1")
     ep = law.mean
     _check_mean(ep)
-    epi = factorial_moments(law, n)
-    ez = {1: 1.0 / (1.0 - ep)}
-    fact = [math.factorial(j) for j in range(n + 1)]
-    for order in range(2, n + 1):
-        total = 1.0
-        for k in range(1, order):
-            inner = 0.0
-            for i in range(1, k + 1):
-                comp_sum = 0.0
-                for parts in compositions(k, i):
-                    prod = 1.0
-                    for m in parts:
-                        prod *= ez[m] / fact[m]
-                    comp_sum += prod
-                inner += epi[i - 1] / fact[i] * comp_sum
-            total += math.comb(order, k) * fact[k] * inner
-        tail = 0.0
-        for i in range(2, order + 1):
-            comp_sum = 0.0
-            for parts in compositions(order, i):
-                prod = 1.0
-                for m in parts:
-                    prod *= ez[m] / fact[m]
-                comp_sum += prod
-            tail += epi[i - 1] / fact[i] * comp_sum
-        total += fact[order] * tail
-        ez[order] = total / (1.0 - ep)
-    return [ez[j] for j in range(1, n + 1)]
+    inv_fact = [1 / math.factorial(j) for j in range(n + 1)]
+    f = [1.0] + [v * inv_fact[i] for i, v in enumerate(factorial_moments(law, n), 1)]
+    while len(f) > 2 and f[-1] == 0.0:
+        f.pop()
+    # powers[i][k] = [t^k] u^i; powers[1] is the c_k sequence itself
+    powers = [[0.0] * (n + 1) for _ in range(len(f))]
+    c = powers[1]
+    g = [1.0]  # g[k] = [t^k] G_P(M(t))
+    out = []
+    for order in range(1, n + 1):
+        higher = 0.0
+        for i in range(2, min(order, len(f) - 1) + 1):
+            term = sum(map(mul, c[1:order], powers[i - 1][order - 1 : 0 : -1]))
+            powers[i][order] = term
+            higher += f[i] * term
+        c[order] = (higher + sum(map(mul, g, inv_fact[order:0:-1]))) / (1.0 - ep)
+        g.append(f[1] * c[order] + higher)
+        # E Z^order = c_order * order!, rounded once; order! alone overflows a
+        # float past 170.  A coefficient that underflowed would be silently
+        # wrong, so it is rejected like an overflow.
+        try:
+            num, den = c[order].as_integer_ratio()
+            moment = num * math.factorial(order) / den
+        except (OverflowError, ValueError):
+            moment = math.inf
+        if not (moment < math.inf and c[order] >= sys.float_info.min):
+            raise DomainError(
+                f"E Z^{order} is out of float64 range for this recursion"
+            )
+        out.append(moment)
+    return out
 
 
 def progeny_moment(law: OffspringLaw, n: int) -> float:
-    """E Z^n via the composition recursion."""
+    """E Z^n via the generating-function recursion."""
     return _moment_sequence(law, n)[-1]
 
 
@@ -267,8 +261,8 @@ def borel_pmf(h: float, k: int) -> float:
         raise DomainError("Borel pmf needs 0 < h < 1")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError("Borel pmf needs integer k >= 1")
-    log_p = -h * k + (k - 1) * math.log(h * k) - gammaln(k + 1)
-    return float(math.exp(log_p))
+    log_p = -h * k + (k - 1) * math.log(h * k) - math.lgamma(k + 1)
+    return math.exp(log_p)
 
 
 def consul_pmf(h: int, p: float, k: int) -> float:
@@ -285,14 +279,14 @@ def consul_pmf(h: int, p: float, k: int) -> float:
         raise SupercriticalError(f"hp = {h * p} >= 1")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError("Consul pmf needs integer k >= 1")
-    log_binom = gammaln(k * h + 1) - gammaln(k) - gammaln(k * (h - 1) + 2)
+    log_binom = math.lgamma(k * h + 1) - math.lgamma(k) - math.lgamma(k * (h - 1) + 2)
     log_p = (
         -math.log(k)
         + log_binom
         + (k - 1) * math.log(p)
         + (k * (h - 1) + 1) * math.log1p(-p)
     )
-    return float(math.exp(log_p))
+    return math.exp(log_p)
 
 
 def _term_ratio_bound(law: OffspringLaw, k: int, m: int) -> float:

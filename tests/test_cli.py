@@ -156,6 +156,14 @@ def test_domain_errors_exit_2():
     ).returncode == 2
 
 
+def test_moment_overflow_exit_2():
+    # E Z^n of the Poisson(0.5) cascade leaves float64 at n = 130
+    proc = run_cli("moments", "gw", "--offspring", "poisson:0.5", "--n", "200")
+    assert proc.returncode == 2
+    assert "E Z^130 " in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verification_failure_exit_3_with_report():
     proc = run_cli(
         "verify", "bci",
@@ -259,7 +267,20 @@ def test_output_file(tmp_path):
         "--output", str(path),
     )
     assert proc.returncode == 0
-    assert json.loads(path.read_text()) == json.loads(proc.stdout)
+    assert path.read_text() == proc.stdout
+    json.loads(proc.stdout)
+
+
+def test_output_file_with_csv_format(tmp_path):
+    # --output gets exactly what stdout gets, the CSV rows included
+    path = tmp_path / "samples.csv"
+    proc = run_cli(
+        "verify", "moments", "--offspring", "poisson:0.4",
+        "--reps", "50", "--seed", "11", "--format", "csv", "--output", str(path),
+    )
+    assert proc.returncode in (0, 3)  # statistical verdict, not under test here
+    assert proc.stdout.startswith("seed_index,value\n")
+    assert path.read_text() == proc.stdout
 
 
 def test_dump_samples_and_csv_format(tmp_path):

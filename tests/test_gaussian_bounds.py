@@ -141,6 +141,8 @@ def test_hertzian_integral_closed_form():
     assert np.isclose(hertzian_integral(1.0, 4.0, 2), 4.0 * math.pi / 3.0, rtol=1e-15)
     assert np.isclose(hertzian_integral(1.0, 4.0, 3), 1.2 * math.pi, rtol=1e-15)
     assert np.isclose(hertzian_integral(1.0, 4.0, 4), 8.0 * math.pi / 7.0, rtol=1e-15)
+    # numpy integer orders are accepted like Python ints
+    assert hertzian_integral(1.0, 4.0, np.int64(2)) == hertzian_integral(1.0, 4.0, 2)
 
 
 def test_hertzian_integral_radial_quadrature_spot():
@@ -160,6 +162,8 @@ def test_hertzian_integral_divergence():
         hertzian_integral(0.0, 4.0, 1)
     with pytest.raises(DomainError):
         hertzian_integral(1.0, 4.0, 0)
+    with pytest.raises(DomainError):
+        hertzian_integral(1.0, 4.0, 2.0)
 
 
 def test_interference_golden():

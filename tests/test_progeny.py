@@ -2,11 +2,17 @@
 
 Frozen expected values come from independent computations: direct pmf series
 with math.lgamma, geometric closed forms for the h = 1 binomial cascade, and
-closed geometric-series identities for the exponential sums.
+closed geometric-series identities for the exponential sums.  The recursion
+over integer compositions that the package used before its generating-function
+recursion is kept here as a third, independent moment oracle.
 """
 import math
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaos_bounds import (
     Binomial,
@@ -18,7 +24,6 @@ from chaos_bounds import (
     SupercriticalError,
     abel_plana_bound,
     borel_pmf,
-    compositions,
     consul_pmf,
     factorial_moments,
     progeny_moment,
@@ -75,7 +80,57 @@ def test_offspring_validation():
 
 
 # ---------------------------------------------------------------------------
-# compositions
+# composition-recursion oracle
+
+
+def compositions(k, i):
+    """All ordered i-tuples of positive integers summing to k, lexicographic.
+
+    There are C(k-1, i-1) of them; the list is empty when i > k.
+    """
+    if not (isinstance(k, int) and k >= 1):
+        raise DomainError("k must be an integer >= 1")
+    if not (isinstance(i, int) and i >= 1):
+        raise DomainError("i must be an integer >= 1")
+    if i > k:
+        return []
+    if i == 1:
+        return [(k,)]
+    out = []
+    for first in range(1, k - i + 2):
+        for rest in compositions(k - first, i - 1):
+            out.append((first,) + rest)
+    return out
+
+
+def composition_moments(law, n):
+    """[E Z^1, ..., E Z^n] by the recursion over compositions:
+
+    E Z^n = ( 1 + sum_{k=1..n-1} k! C(n,k) sum_{i=1..k} E(P)_i/i! *
+                  sum_{m_1+..+m_i=k} prod_j E Z^{m_j}/m_j!
+                + n! sum_{i=2..n} E(P)_i/i! *
+                  sum_{m_1+..+m_i=n} prod_j E Z^{m_j}/m_j! ) / (1 - E P).
+
+    Its cost doubles with every order, so it is only run to n = 12.
+    """
+    ep = law.mean
+    epi = factorial_moments(law, n)
+    fact = [math.factorial(j) for j in range(n + 1)]
+    ez = {1: 1.0 / (1.0 - ep)}
+
+    def comp_sum(k, i):
+        return sum(
+            math.prod(ez[m] / fact[m] for m in parts) for parts in compositions(k, i)
+        )
+
+    for order in range(2, n + 1):
+        total = 1.0
+        for k in range(1, order):
+            inner = sum(epi[i - 1] / fact[i] * comp_sum(k, i) for i in range(1, k + 1))
+            total += math.comb(order, k) * fact[k] * inner
+        tail = sum(epi[i - 1] / fact[i] * comp_sum(order, i) for i in range(2, order + 1))
+        ez[order] = (total + fact[order] * tail) / (1.0 - ep)
+    return [ez[j] for j in range(1, n + 1)]
 
 
 def test_compositions_examples():
@@ -184,6 +239,78 @@ def test_high_order_recursion_finite():
     table = progeny_moment_table(PoissonMean(0.9), 12)
     assert all(math.isfinite(v) for v in table.moments)
     assert all(b > a for a, b in zip(table.moments, table.moments[1:]))
+
+
+def test_order_100_finite_and_increasing():
+    table = progeny_moment_table(PoissonMean(0.5), 100)
+    assert all(math.isfinite(v) for v in table.moments)
+    assert all(b > a for a, b in zip(table.moments, table.moments[1:]))
+
+
+@pytest.mark.parametrize("law", [PoissonMean(0.9), Binomial(3, 0.3)])
+def test_overflow_names_first_order(law):
+    # E Z^100 exceeds float64 for both laws, so the table to order 100 raises
+    # at the first order past the range; every order below it is finite and
+    # increasing
+    with pytest.raises(DomainError, match=r"E Z\^\d+ ") as info:
+        progeny_moment_table(law, 100)
+    first = int(re.search(r"E Z\^(\d+)", str(info.value)).group(1))
+    table = progeny_moment_table(law, first - 1)
+    assert all(math.isfinite(v) for v in table.moments)
+    assert all(b > a for a, b in zip(table.moments, table.moments[1:]))
+    # moments are log-convex, so E Z^first >= E Z^(first-1)^2 / E Z^(first-2);
+    # that lower bound already overflows, so the error is not premature
+    a, b = (math.log(v) for v in table.moments[-2:])
+    assert 2.0 * b - a > math.log(sys.float_info.max)
+
+
+def test_overflow_is_domain_error():
+    with pytest.raises(DomainError, match=r"E Z\^130 "):
+        progeny_moment(PoissonMean(0.5), 200)
+    # no offspring: every E Z^n is 1, but E Z^n / n! underflows past n = 170
+    law = FactorialMoments((0.0,) * 200)
+    assert progeny_moment(law, 170) == 1.0
+    with pytest.raises(DomainError, match=r"E Z\^171 "):
+        progeny_moment(law, 171)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the recursion against its three oracles
+
+
+poisson_laws = st.builds(PoissonMean, st.floats(0.01, 0.9))
+binomial_laws = st.integers(1, 6).flatmap(
+    lambda h: st.builds(Binomial, st.just(h), st.floats(0.01, 0.9 / h))
+)
+factorial_laws = st.builds(
+    lambda first, rest: FactorialMoments((first,) + tuple(rest)),
+    st.floats(0.0, 0.9),
+    st.lists(st.floats(0.0, 2.0), min_size=11, max_size=11),
+)
+any_law = st.one_of(poisson_laws, binomial_laws, factorial_laws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=any_law, n=st.integers(1, 12))
+def test_recursion_matches_composition_oracle(law, n):
+    got = progeny_moment_table(law, n).moments
+    want = composition_moments(law, n)
+    assert all(rel_err(a, b) <= 1e-12 for a, b in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=any_law)
+def test_recursion_matches_closed_forms(law):
+    got = progeny_moment_table(law, 4).moments
+    for n in (1, 2, 3, 4):
+        assert rel_err(got[n - 1], progeny_moment_closed(law, n)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(law=st.one_of(poisson_laws, binomial_laws), m=st.integers(1, 8))
+def test_recursion_matches_pmf_series(law, m):
+    series = progeny_moment_series(law, m, 1e-10)
+    assert rel_err(series, progeny_moment(law, m)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
