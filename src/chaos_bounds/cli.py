@@ -2,13 +2,19 @@
 reproducible machine-readable output.
 
 Reports are JSON (keys sorted, no timestamps), so a fixed argv and seed give
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2 domain error,
+byte-identical output.  Exit codes: 0 success, 1 usage error (bad flag, bad
+config file, unwritable --output or --dump-samples), 2 domain error,
 3 verification failure (the report is still printed).
 
+Every leaf command is one row of ``_COMMANDS``: its group, name, handler and
+flags, each flag declared once with its type, default and whether it is
+required.  ``build_parser`` builds argparse from that table.
+
 The RNG seed resolves as: --seed flag, else the CHAOS_BOUNDS_SEED environment
-variable, else the fixed default 0xC0FFEE.  A JSON config file (--config) can
-supply any flag of the chosen subcommand by its long name; explicit flags win
-over the file, the file wins over built-in defaults.
+variable, else the fixed default 0xC0FFEE.  A JSON config file (--config) is
+read as flags: each key names a flag of the chosen subcommand and becomes a
+--key=value token placed ahead of the explicit flags, so the same parser
+checks it and explicit flags, coming later, win over the file.
 """
 from __future__ import annotations
 
@@ -17,7 +23,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 from .deviations import (
     bci_bound,
@@ -64,11 +71,11 @@ from .progeny import (
 from .simulate import (
     ClusterModel,
     InterferenceModel,
+    VerificationReport,
     samples_csv_text,
     verify_bci,
     verify_gaussian_bound,
     verify_moments,
-    write_samples_csv,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -86,16 +93,43 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Post-merge run settings shared by every subcommand."""
+    """Run settings shared by every subcommand.  Only the verify commands
+    take the run flags, whose defaults these are."""
 
-    command: str
     seed: int
-    reps: int
-    workers: int
-    output: str | None
-    format: str
-    dump_samples: str | None
-    params: dict
+    reps: int = 1000
+    workers: int = 1
+    output: str | None = None
+    format: str = "json"
+    dump_samples: str | None = None
+
+
+def integer(text: str) -> int:
+    """argparse type of the integer flags: an int, or a float with no
+    fractional part ("1e3", "2.0")."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise
+        return int(value)
+
+
+class Flag:
+    """One long option of a leaf command, declared once: its type (bool makes
+    an on/off switch), default and whether it is required, plus any other
+    add_argument keywords.  The argparse keywords are built here, once."""
+
+    def __init__(self, name: str, type: Callable = float, default=None, required=False, **more):
+        self.name = name
+        self.dest = "lam" if name == "--lambda" else name[2:].replace("-", "_")
+        kind = {"action": "store_true"} if type is bool else {"type": type}
+        self.kwargs = dict(kind, dest=self.dest, default=default, required=required, **more)
+
+
+def _req(name: str, type: Callable = float) -> Flag:
+    return Flag(name, type, required=True)
 
 
 def parse_mark(text: str):
@@ -155,341 +189,307 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _dest(flag: str) -> str:
-    if flag == "--lambda":
-        return "lam"
-    return flag.lstrip("-").replace("-", "_")
-
-
-def _require(args, *flags):
-    missing = [f for f in flags if getattr(args, _dest(f)) is None]
-    if missing:
-        args.leaf_parser.error("missing required flag(s): " + ", ".join(missing))
-
-
-def _as_int(args, flag, value):
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        args.leaf_parser.error(f"{flag} must be an integer, got {value!r}")
-    if isinstance(value, float) and value != out:
-        args.leaf_parser.error(f"{flag} must be an integer, got {value!r}")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# handlers: each returns (exit_code, payload_dict, samples_or_None)
+# handlers: each returns its report, a dict or an object with to_dict().  A
+# VerificationReport's verdict sets the exit code, and its samples are what
+# --format csv and --dump-samples write.
 
 
 def _cmd_bounds_first_chaos(args, cfg):
-    _require(args, "--m3", "--m4")
-    return 0, first_chaos_bounds(args.m3, args.m4).to_dict(), None
+    return first_chaos_bounds(args.m3, args.m4)
 
 
 def _cmd_bounds_shot_noise(args, cfg):
-    _require(args, "--i2", "--i3", "--i4")
-    km = KernelMoments(args.i2, args.i3, args.i4)
-    return 0, shotnoise_bounds(km).to_dict(), None
+    return shotnoise_bounds(KernelMoments(args.i2, args.i3, args.i4))
 
 
 def _cmd_bounds_compound_cluster(args, cfg):
-    _require(args, "--lambda", "--leb", "--ez3", "--ez4")
-    report = compound_cluster_bounds(
-        Region(args.lam, args.leb), parse_mark(args.mark), args.ez3, args.ez4
-    )
-    return 0, report.to_dict(), None
+    region = Region(args.lam, args.leb)
+    return compound_cluster_bounds(region, parse_mark(args.mark), args.ez3, args.ez4)
 
 
 def _cmd_bounds_hawkes_poisson(args, cfg):
-    _require(args, "--lambda", "--leb", "--h")
-    report = hawkes_poisson_bounds(
-        Region(args.lam, args.leb), args.h, parse_mark(args.mark)
-    )
-    return 0, report.to_dict(), None
+    return hawkes_poisson_bounds(Region(args.lam, args.leb), args.h, parse_mark(args.mark))
 
 
 def _cmd_bounds_hawkes_binomial(args, cfg):
-    _require(args, "--lambda", "--leb", "--h", "--p")
-    report = hawkes_binomial_bounds(
-        Region(args.lam, args.leb), args.h, args.p, parse_mark(args.mark)
-    )
-    return 0, report.to_dict(), None
+    region = Region(args.lam, args.leb)
+    return hawkes_binomial_bounds(region, args.h, args.p, parse_mark(args.mark))
 
 
 def _cmd_bounds_interference(args, cfg):
-    _require(args, "--lambda", "--R", "--alpha")
     power = parse_mark(args.power)
-    report = interference_bounds(
-        args.lam,
-        power.abs_moment(2),
-        power.abs_moment(3),
-        power.abs_moment(4),
-        hertzian_integral(args.R, args.alpha, 2),
-        hertzian_integral(args.R, args.alpha, 3),
-        hertzian_integral(args.R, args.alpha, 4),
-    )
-    return 0, report.to_dict(), None
+    moments = [power.abs_moment(k) for k in (2, 3, 4)]
+    integrals = [hertzian_integral(args.R, args.alpha, k) for k in (2, 3, 4)]
+    return interference_bounds(args.lam, *moments, *integrals)
 
 
 def _cmd_delta_poisson(args, cfg):
-    _require(args, "--h", "--lambda-leb")
-    gamma = 0.0 if args.gamma is None else args.gamma
-    return 0, delta_poisson(args.h, args.lambda_leb, gamma).to_dict(), None
+    return delta_poisson(args.h, args.lambda_leb, args.gamma)
 
 
 def _cmd_delta_binomial(args, cfg):
-    _require(args, "--h", "--p", "--lambda-leb")
-    gamma = 0.0 if args.gamma is None else args.gamma
-    h = _as_int(args, "--h", args.h)
-    return 0, delta_binomial(h, args.p, args.lambda_leb, gamma).to_dict(), None
+    return delta_binomial(args.h, args.p, args.lambda_leb, args.gamma)
 
 
 def _cmd_tail_bci(args, cfg):
-    _require(args, "--gamma", "--delta", "--x")
-    payload = {
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "x": args.x,
-        "bound": bci_bound(args.gamma, args.delta, args.x),
-    }
-    return 0, payload, None
+    bound = bci_bound(args.gamma, args.delta, args.x)
+    return {"gamma": args.gamma, "delta": args.delta, "x": args.x, "bound": bound}
 
 
 def _cmd_tail_insurance(args, cfg):
-    _require(args, "--lambda", "--h", "--mu", "--T", "--k")
-    report = insurance_tail_report(
-        args.lam, args.h, args.mu, args.T, args.k, strict=bool(args.strict)
-    )
-    return 0, report.to_dict(), None
+    return insurance_tail_report(args.lam, args.h, args.mu, args.T, args.k, strict=args.strict)
 
 
 def _cmd_tail_interval(args, cfg):
-    _require(args, "--lambda", "--h", "--mu", "--T", "--x")
-    report = total_loss_interval(
-        args.lam, args.h, args.mu, args.T, args.x, strict=bool(args.strict)
-    )
-    return 0, report.to_dict(), None
+    return total_loss_interval(args.lam, args.h, args.mu, args.T, args.x, strict=args.strict)
 
 
 def _cmd_tail_nacc(args, cfg):
-    _require(args, "--gamma", "--delta")
-    c0 = 1.0 if args.c0 is None else args.c0
-    lo, hi = nacc_window(args.gamma, args.delta, c0)
-    payload = {
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "c0": c0,
-        "window": [lo, hi],
-    }
-    return 0, payload, None
+    window = list(nacc_window(args.gamma, args.delta, args.c0))
+    return {"gamma": args.gamma, "delta": args.delta, "c0": args.c0, "window": window}
 
 
 def _cmd_tail_mdp(args, cfg):
-    _require(args, "--lower", "--upper")
     rate = mdp_rate_inf((args.lower, args.upper))
-    return 0, {"interval": [args.lower, args.upper], "rate_inf": rate}, None
+    return {"interval": [args.lower, args.upper], "rate_inf": rate}
 
 
 def _cmd_tail_cumulant(args, cfg):
-    _require(args, "--offspring", "--lambda-leb", "--delta")
     mark = parse_mark(args.mark)
-    gamma = mark_gamma(mark) if args.gamma is None else args.gamma
-    m_max = 12 if args.m_max is None else _as_int(args, "--m-max", args.m_max)
+    gamma = args.gamma
+    if gamma is None:  # no static default: the mark law's own gamma
+        gamma = mark_gamma(mark)
     report = check_cumulant_condition(
-        mark_abs_moments(mark, m_max),
-        progeny_moment_table(parse_offspring(args.offspring), m_max),
+        mark_abs_moments(mark, args.m_max),
+        progeny_moment_table(parse_offspring(args.offspring), args.m_max),
         args.lambda_leb,
         gamma,
         args.delta,
-        m_max,
+        args.m_max,
     )
-    payload = dict(report.to_dict(), gamma=gamma, delta=args.delta)
-    return 0, payload, None
+    return dict(report.to_dict(), gamma=gamma, delta=args.delta)
 
 
 def _cmd_moments_gw(args, cfg):
-    _require(args, "--offspring", "--n")
     law = parse_offspring(args.offspring)
-    n = _as_int(args, "--n", args.n)
-    table = progeny_moment_table(law, n)
-    payload = {"offspring": law.describe(), "n": n, "moments": list(table.moments)}
-    return 0, payload, None
+    moments = list(progeny_moment_table(law, args.n).moments)
+    return {"offspring": law.describe(), "n": args.n, "moments": moments}
 
 
 def _cmd_moments_factorial(args, cfg):
-    _require(args, "--offspring", "--n")
     law = parse_offspring(args.offspring)
-    n = _as_int(args, "--n", args.n)
-    payload = {
-        "offspring": law.describe(),
-        "n": n,
-        "factorial_moments": factorial_moments(law, n),
-    }
-    return 0, payload, None
+    values = factorial_moments(law, args.n)
+    return {"offspring": law.describe(), "n": args.n, "factorial_moments": values}
 
 
 def _cmd_moments_series(args, cfg):
-    _require(args, "--offspring", "--m")
     law = parse_offspring(args.offspring)
-    m = _as_int(args, "--m", args.m)
-    rel_tol = 1e-10 if args.rel_tol is None else args.rel_tol
-    payload = {
+    return {
         "offspring": law.describe(),
-        "m": m,
-        "rel_tol": rel_tol,
-        "value": progeny_moment_series(law, m, rel_tol),
+        "m": args.m,
+        "rel_tol": args.rel_tol,
+        "value": progeny_moment_series(law, args.m, args.rel_tol),
     }
-    return 0, payload, None
 
 
 def _cmd_moments_pmf(args, cfg):
-    _require(args, "--offspring", "--k-max")
     law = parse_offspring(args.offspring)
-    k_max = _as_int(args, "--k-max", args.k_max)
-    if k_max < 1:
+    ks = range(1, args.k_max + 1)
+    if args.k_max < 1:
         raise DomainError("--k-max must be >= 1")
     if isinstance(law, PoissonMean):
-        pmf = [borel_pmf(law.h, k) for k in range(1, k_max + 1)]
+        pmf = [borel_pmf(law.h, k) for k in ks]
     elif isinstance(law, Binomial):
-        pmf = [consul_pmf(law.h, law.p, k) for k in range(1, k_max + 1)]
+        pmf = [consul_pmf(law.h, law.p, k) for k in ks]
     else:
         raise DomainError("no closed pmf for a bare factorial-moment sequence")
-    payload = {"offspring": law.describe(), "k_max": k_max, "pmf": pmf}
-    return 0, payload, None
+    return {"offspring": law.describe(), "k_max": args.k_max, "pmf": pmf}
 
 
 def _cmd_moments_abel(args, cfg):
-    _require(args, "--nu", "--m")
-    m = _as_int(args, "--m", args.m)
-    cs = abel_plana_bound(args.nu, m)
-    payload = {
+    cs = abel_plana_bound(args.nu, args.m)
+    return {
         "nu": args.nu,
-        "m": m,
+        "m": args.m,
         "center": cs.center,
         "radius": cs.radius,
         "lower": cs.lower,
         "upper": cs.upper,
     }
-    return 0, payload, None
 
 
 def _cmd_verify_moments(args, cfg):
-    _require(args, "--offspring")
-    report = verify_moments(
-        parse_offspring(args.offspring), cfg.reps, cfg.seed, workers=cfg.workers
-    )
-    return (0 if report.passed else 3), report.to_dict(), report.samples
+    law = parse_offspring(args.offspring)
+    return verify_moments(law, cfg.reps, cfg.seed, workers=cfg.workers)
+
+
+# the flags each verify gauss scenario needs on top of its table row
+_GAUSS_NEEDS = {
+    "compound-poisson": ("--lambda-leb",),
+    "hawkes-poisson": ("--h", "--T"),
+    "hawkes-binomial": ("--h", "--p", "--T"),
+    "interference": ("--lambda", "--R", "--alpha"),
+}
 
 
 def _build_gauss_scenario(args):
     mark = parse_mark(args.mark)
-    beta = 1.0 if args.beta is None else args.beta
     name = args.scenario
+    if name == "compound-poisson" and args.lam is not None:
+        args.leaf_parser.error(
+            "compound-poisson fixes --lambda at 1; set the window mass "
+            "with --lambda-leb"
+        )
+    missing = [f for f in _GAUSS_NEEDS[name] if getattr(args, Flag(f).dest) is None]
+    if missing:
+        args.leaf_parser.error(f"--scenario {name} requires " + ", ".join(missing))
     if name == "compound-poisson":
-        if args.lam is not None:
-            args.leaf_parser.error(
-                "compound-poisson fixes --lambda at 1; set the window mass "
-                "with --lambda-leb"
-            )
-        _require(args, "--lambda-leb")
         return ClusterModel(
             1.0,
             args.lambda_leb,
             FactorialMoments((0.0, 0.0, 0.0, 0.0)),
             mark=mark,
-            delay_rate=beta,
+            delay_rate=args.beta,
         )
-    lam = 1.0 if args.lam is None else args.lam
-    if name == "hawkes-poisson":
-        _require(args, "--h", "--T")
-        return ClusterModel(
-            lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=beta
+    if name == "interference":
+        return InterferenceModel(
+            args.lam, args.R, args.alpha, power=parse_mark(args.power), tail_eps=args.tail_eps
         )
+    lam = args.lam
+    if lam is None:  # no static default: compound-poisson rejects it, interference needs it
+        lam = 1.0
     if name == "hawkes-binomial":
-        _require(args, "--h", "--p", "--T")
-        h = _as_int(args, "--h", args.h)
-        return ClusterModel(
-            lam, args.T, Binomial(h, args.p), mark=mark, delay_rate=beta
-        )
-    # interference
-    _require(args, "--lambda", "--R", "--alpha")
-    tail_eps = 1.0 if args.tail_eps is None else args.tail_eps
-    return InterferenceModel(
-        args.lam, args.R, args.alpha, power=parse_mark(args.power), tail_eps=tail_eps
-    )
+        if not args.h.is_integer():
+            args.leaf_parser.error(f"--h must be an integer, got {args.h!r}")
+        offspring = Binomial(int(args.h), args.p)
+    else:
+        offspring = PoissonMean(args.h)
+    return ClusterModel(lam, args.T, offspring, mark=mark, delay_rate=args.beta)
 
 
 def _cmd_verify_gauss(args, cfg):
-    _require(args, "--scenario")
     scenario = _build_gauss_scenario(args)
-    report = verify_gaussian_bound(scenario, cfg.reps, cfg.seed, workers=cfg.workers)
-    return (0 if report.passed else 3), report.to_dict(), report.samples
+    return verify_gaussian_bound(scenario, cfg.reps, cfg.seed, workers=cfg.workers)
 
 
 def _cmd_verify_bci(args, cfg):
-    _require(args, "--h", "--T")
     mark = parse_mark(args.mark)
-    lam = 1.0 if args.lam is None else args.lam
-    beta = 1.0 if args.beta is None else args.beta
-    delta_scale = 1.0 if args.delta_scale is None else args.delta_scale
-    if not (delta_scale > 0 and math.isfinite(delta_scale)):
+    if not (args.delta_scale > 0 and math.isfinite(args.delta_scale)):
         raise DomainError("--delta-scale must be positive and finite")
-    x_max = 4.0 if args.x_max is None else args.x_max
-    x_step = 0.5 if args.x_step is None else args.x_step
-    if not (x_step > 0 and x_max >= 0):
+    if not (args.x_step > 0 and args.x_max >= 0):
         raise DomainError("need --x-step > 0 and --x-max >= 0")
-    m_max = 12 if args.m_max is None else _as_int(args, "--m-max", args.m_max)
 
-    scenario = ClusterModel(
-        lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=beta
-    )
+    scenario = ClusterModel(args.lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=args.beta)
     gamma = mark_gamma(mark)
-    base = delta_poisson(args.h, lam * args.T, gamma)
-    x_grid = [k * x_step for k in range(int(math.floor(x_max / x_step + 1e-9)) + 1)]
+    base = delta_poisson(args.h, args.lam * args.T, gamma)
+    steps = int(math.floor(args.x_max / args.x_step + 1e-9))
     report = verify_bci(
         scenario,
         gamma,
-        base.delta * delta_scale,
-        x_grid,
+        base.delta * args.delta_scale,
+        [k * args.x_step for k in range(steps + 1)],
         cfg.reps,
         cfg.seed,
         workers=cfg.workers,
-        m_max=m_max,
+        m_max=args.m_max,
     )
-    payload = report.to_dict()
-    payload["details"]["delta_base"] = base.delta
-    payload["details"]["delta_case"] = base.case_label
-    payload["details"]["delta_scale"] = delta_scale
-    return (0 if report.passed else 3), payload, report.samples
+    report.details.update(
+        delta_base=base.delta, delta_case=base.case_label, delta_scale=args.delta_scale
+    )
+    return report
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table
 
 
-def _leaf(subparsers, name, handler, parents=(), help=None):
-    p = subparsers.add_parser(name, parents=list(parents), help=help)
-    p.set_defaults(handler=handler, leaf_parser=p)
-    return p
+_GROUPS = {  # group: (metavar of its leaf, help)
+    "bounds": ("model", "distance bounds to the normal"),
+    "delta": ("family", "cumulant calibration parameters"),
+    "tail": ("what", "tail bounds and intervals"),
+    "moments": ("what", "progeny moments, pmfs, series"),
+    "verify": ("what", "Monte Carlo verification harnesses"),
+}
+
+# shared by every leaf
+_IO_FLAGS = (
+    Flag("--config", str, metavar="PATH", help="JSON file of flag values"),
+    Flag("--output", str, metavar="PATH", help="also write the report here"),
+)
+# shared by the verify leaves
+_RUN_FLAGS = (
+    Flag("--seed", integer),
+    Flag("--reps", integer, RunConfig.reps),
+    Flag("--workers", integer, RunConfig.workers),
+    Flag("--format", str, RunConfig.format, choices=("json", "csv")),
+    Flag("--dump-samples", str, metavar="PATH"),
+)
+
+_LAMBDA = _req("--lambda")
+_MARK = Flag("--mark", str, "const:1")
+_POWER = Flag("--power", str, "const:1")
+_OFFSPRING = _req("--offspring", str)
+_STRICT = Flag("--strict", bool, False)
+_M_MAX = Flag("--m-max", integer, 12)
+
+_COMMANDS = (
+    ("bounds", "first-chaos", _cmd_bounds_first_chaos, (_req("--m3"), _req("--m4"))),
+    ("bounds", "shot-noise", _cmd_bounds_shot_noise,
+     (_req("--i2"), _req("--i3"), _req("--i4"))),
+    ("bounds", "compound-cluster", _cmd_bounds_compound_cluster,
+     (_LAMBDA, _req("--leb"), _MARK, _req("--ez3"), _req("--ez4"))),
+    ("bounds", "hawkes-poisson", _cmd_bounds_hawkes_poisson,
+     (_LAMBDA, _req("--leb"), _req("--h"), _MARK)),
+    ("bounds", "hawkes-binomial", _cmd_bounds_hawkes_binomial,
+     (_LAMBDA, _req("--leb"), _req("--h", integer), _req("--p"), _MARK)),
+    ("bounds", "interference", _cmd_bounds_interference,
+     (_LAMBDA, _req("--R"), _req("--alpha"), _POWER)),
+    ("delta", "poisson", _cmd_delta_poisson,
+     (_req("--h"), _req("--lambda-leb"), Flag("--gamma", float, 0.0))),
+    ("delta", "binomial", _cmd_delta_binomial,
+     (_req("--h", integer), _req("--p"), _req("--lambda-leb"), Flag("--gamma", float, 0.0))),
+    ("tail", "bci", _cmd_tail_bci, (_req("--gamma"), _req("--delta"), _req("--x"))),
+    ("tail", "insurance", _cmd_tail_insurance,
+     (_LAMBDA, _req("--h"), _req("--mu"), _req("--T"), _req("--k"), _STRICT)),
+    ("tail", "interval", _cmd_tail_interval,
+     (_LAMBDA, _req("--h"), _req("--mu"), _req("--T"), _req("--x"), _STRICT)),
+    ("tail", "nacc", _cmd_tail_nacc,
+     (_req("--gamma"), _req("--delta"), Flag("--c0", float, 1.0))),
+    ("tail", "mdp", _cmd_tail_mdp, (_req("--lower"), _req("--upper"))),
+    ("tail", "cumulant", _cmd_tail_cumulant,
+     (_OFFSPRING, _MARK, _req("--lambda-leb"), Flag("--gamma"), _req("--delta"), _M_MAX)),
+    ("moments", "gw", _cmd_moments_gw, (_OFFSPRING, _req("--n", integer))),
+    ("moments", "factorial", _cmd_moments_factorial, (_OFFSPRING, _req("--n", integer))),
+    ("moments", "series", _cmd_moments_series,
+     (_OFFSPRING, _req("--m", integer), Flag("--rel-tol", float, 1e-10))),
+    ("moments", "pmf", _cmd_moments_pmf, (_OFFSPRING, _req("--k-max", integer))),
+    ("moments", "abel", _cmd_moments_abel, (_req("--nu"), _req("--m", integer))),
+    ("verify", "moments", _cmd_verify_moments, (_OFFSPRING,)),
+    ("verify", "gauss", _cmd_verify_gauss, (
+        Flag("--scenario", str, required=True, choices=tuple(_GAUSS_NEEDS)),
+        Flag("--lambda-leb"), Flag("--lambda"), Flag("--T"), Flag("--h"), Flag("--p"),
+        Flag("--beta", float, 1.0), _MARK, Flag("--R"), Flag("--alpha"), _POWER,
+        Flag("--tail-eps", float, 1.0),
+    )),
+    ("verify", "bci", _cmd_verify_bci, (
+        _req("--h"), Flag("--lambda", float, 1.0), _req("--T"), Flag("--beta", float, 1.0),
+        _MARK, Flag("--delta-scale", float, 1.0), Flag("--x-max", float, 4.0),
+        Flag("--x-step", float, 0.5), _M_MAX,
+    )),
+)
+
+
+def _add_flags(parser, flags) -> None:
+    for f in flags:
+        parser.add_argument(f.name, **f.kwargs)
 
 
 def build_parser() -> _Parser:
     io_common = argparse.ArgumentParser(add_help=False)
-    io_common.add_argument(
-        "--config", default=None, metavar="PATH", help="JSON file of flag values"
-    )
-    io_common.add_argument(
-        "--output", default=None, metavar="PATH", help="also write the report here"
-    )
-
+    _add_flags(io_common, _IO_FLAGS)
     run_common = argparse.ArgumentParser(add_help=False)
-    run_common.add_argument("--seed", type=int, default=None)
-    run_common.add_argument("--reps", type=int, default=None)
-    run_common.add_argument("--workers", type=int, default=None)
-    run_common.add_argument("--format", choices=("json", "csv"), default=None)
-    run_common.add_argument(
-        "--dump-samples", dest="dump_samples", default=None, metavar="PATH"
-    )
+    _add_flags(run_common, _RUN_FLAGS)
 
     parser = _Parser(
         prog="chaos-bounds",
@@ -498,250 +498,130 @@ def build_parser() -> _Parser:
         "verification.",
     )
     top = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    bounds = top.add_parser("bounds", help="distance bounds to the normal")
-    bsub = bounds.add_subparsers(dest="subcommand", metavar="model", required=True)
-    p = _leaf(bsub, "first-chaos", _cmd_bounds_first_chaos, [io_common])
-    p.add_argument("--m3", type=float, default=None)
-    p.add_argument("--m4", type=float, default=None)
-    p = _leaf(bsub, "shot-noise", _cmd_bounds_shot_noise, [io_common])
-    p.add_argument("--i2", type=float, default=None)
-    p.add_argument("--i3", type=float, default=None)
-    p.add_argument("--i4", type=float, default=None)
-    p = _leaf(bsub, "compound-cluster", _cmd_bounds_compound_cluster, [io_common])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--leb", type=float, default=None)
-    p.add_argument("--mark", default="const:1")
-    p.add_argument("--ez3", type=float, default=None)
-    p.add_argument("--ez4", type=float, default=None)
-    p = _leaf(bsub, "hawkes-poisson", _cmd_bounds_hawkes_poisson, [io_common])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--leb", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--mark", default="const:1")
-    p = _leaf(bsub, "hawkes-binomial", _cmd_bounds_hawkes_binomial, [io_common])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--leb", type=float, default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--mark", default="const:1")
-    p = _leaf(bsub, "interference", _cmd_bounds_interference, [io_common])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--power", default="const:1")
-
-    delta = top.add_parser("delta", help="cumulant calibration parameters")
-    dsub = delta.add_subparsers(dest="subcommand", metavar="family", required=True)
-    p = _leaf(dsub, "poisson", _cmd_delta_poisson, [io_common])
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--lambda-leb", dest="lambda_leb", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p = _leaf(dsub, "binomial", _cmd_delta_binomial, [io_common])
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--lambda-leb", dest="lambda_leb", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-
-    tail = top.add_parser("tail", help="tail bounds and intervals")
-    tsub = tail.add_subparsers(dest="subcommand", metavar="what", required=True)
-    p = _leaf(tsub, "bci", _cmd_tail_bci, [io_common])
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--x", type=float, default=None)
-    p = _leaf(tsub, "insurance", _cmd_tail_insurance, [io_common])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--strict", action="store_true", default=None)
-    p = _leaf(tsub, "interval", _cmd_tail_interval, [io_common])
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--strict", action="store_true", default=None)
-    p = _leaf(tsub, "nacc", _cmd_tail_nacc, [io_common])
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--c0", type=float, default=None)
-    p = _leaf(tsub, "mdp", _cmd_tail_mdp, [io_common])
-    p.add_argument("--lower", type=float, default=None)
-    p.add_argument("--upper", type=float, default=None)
-    p = _leaf(tsub, "cumulant", _cmd_tail_cumulant, [io_common])
-    p.add_argument("--offspring", default=None)
-    p.add_argument("--mark", default="const:1")
-    p.add_argument("--lambda-leb", dest="lambda_leb", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-
-    moments = top.add_parser("moments", help="progeny moments, pmfs, series")
-    msub = moments.add_subparsers(dest="subcommand", metavar="what", required=True)
-    p = _leaf(msub, "gw", _cmd_moments_gw, [io_common])
-    p.add_argument("--offspring", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p = _leaf(msub, "factorial", _cmd_moments_factorial, [io_common])
-    p.add_argument("--offspring", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p = _leaf(msub, "series", _cmd_moments_series, [io_common])
-    p.add_argument("--offspring", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p = _leaf(msub, "pmf", _cmd_moments_pmf, [io_common])
-    p.add_argument("--offspring", default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p = _leaf(msub, "abel", _cmd_moments_abel, [io_common])
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-
-    verify = top.add_parser("verify", help="Monte Carlo verification harnesses")
-    vsub = verify.add_subparsers(dest="subcommand", metavar="what", required=True)
-    p = _leaf(vsub, "moments", _cmd_verify_moments, [io_common, run_common])
-    p.add_argument("--offspring", default=None)
-    p = _leaf(vsub, "gauss", _cmd_verify_gauss, [io_common, run_common])
-    p.add_argument(
-        "--scenario",
-        choices=(
-            "compound-poisson",
-            "hawkes-poisson",
-            "hawkes-binomial",
-            "interference",
-        ),
-        default=None,
-    )
-    p.add_argument("--lambda-leb", dest="lambda_leb", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mark", default="const:1")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--power", default="const:1")
-    p.add_argument("--tail-eps", dest="tail_eps", type=float, default=None)
-    p = _leaf(vsub, "bci", _cmd_verify_bci, [io_common, run_common])
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mark", default="const:1")
-    p.add_argument("--delta-scale", dest="delta_scale", type=float, default=None)
-    p.add_argument("--x-max", dest="x_max", type=float, default=None)
-    p.add_argument("--x-step", dest="x_step", type=float, default=None)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-
+    groups = {
+        name: top.add_parser(name, help=text).add_subparsers(
+            dest="subcommand", metavar=metavar, required=True
+        )
+        for name, (metavar, text) in _GROUPS.items()
+    }
+    # (group, leaf): (its parser, the flags a config file may set: all but --config)
+    parser.leaves = {}
+    for group, leaf, handler, flags in _COMMANDS:
+        run = group == "verify"
+        # an explicit help=None still lists the leaf in its group's --help
+        p = groups[group].add_parser(
+            leaf, parents=[io_common, run_common] if run else [io_common], help=None
+        )
+        p.set_defaults(handler=handler, leaf_parser=p)
+        _add_flags(p, flags)
+        parser.leaves[group, leaf] = p, _IO_FLAGS[1:] + (_RUN_FLAGS if run else ()) + flags
     return parser
 
 
 # ---------------------------------------------------------------------------
-# config merge, run config, output
+# config file, run config, output
 
 
-_PLUMBING_KEYS = {"command", "subcommand", "handler", "leaf_parser", "config"}
+def _names_config(token: str) -> bool:
+    """Whether the token is --config or an abbreviation argparse would
+    accept for it."""
+    option = token.partition("=")[0]
+    return len(option) > 2 and "--config".startswith(option)
 
 
-def _merge_config(args) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_as_flags(parser: _Parser, argv: list) -> list:
+    """argv with the --config file's keys inserted as --key=value tokens
+    right after the two command words, ahead of the explicit flags."""
+    leaf, flags = parser.leaves.get(tuple(argv[:2]), (None, ()))
+    if leaf is None:
+        return argv  # not a leaf command: the full parse reports it
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[2:])[0].config
+    except argparse.ArgumentError:
+        return argv  # --config without a path: the full parse reports it
+    if path is None:
+        return argv
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        args.leaf_parser.error(f"cannot read config file: {exc}")
+        leaf.error(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
-        args.leaf_parser.error("config file must hold a JSON object")
+        leaf.error("config file must hold a JSON object")
+    # a key is a flag's name or its dest, with or without the dashes
+    names = {k: f.name for f in flags for k in (f.dest, f.name[2:].replace("-", "_"))}
+    tokens = []
     for key, value in data.items():
-        dest = _dest(str(key)) if str(key).startswith("--") else str(key).replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        if dest in _PLUMBING_KEYS or not hasattr(args, dest):
-            args.leaf_parser.error(f"unknown config key for this command: {key}")
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+        name = names.get(str(key).lstrip("-").replace("-", "_"))
+        if name is None:
+            leaf.error(f"unknown config key for this command: {key}")
+        if value is True:  # a switch; false leaves it off
+            tokens.append(name)
+        elif value is not False:
+            tokens.append(f"{name}={value if isinstance(value, str) else json.dumps(value)}")
+    return argv[:2] + tokens + argv[2:]
 
 
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
+def _resolve_seed(seed) -> int:
+    raw = os.environ.get(SEED_ENV_VAR)
+    if seed is None and raw is not None:
+        try:
+            seed = int(raw, 0)
+        except ValueError:
+            raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
     if seed is None:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is not None:
-            try:
-                seed = int(raw, 0)
-            except ValueError:
-                raise DomainError(
-                    f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
-                )
-        else:
-            seed = DEFAULT_SEED
-    seed = int(seed)
+        seed = DEFAULT_SEED
     if not 0 <= seed < 2 ** 64:
         raise DomainError("seed must be a 64-bit unsigned integer")
     return seed
 
 
 def _build_config(args) -> RunConfig:
-    seed = _resolve_seed(args)
-    reps = getattr(args, "reps", None)
-    reps = 1000 if reps is None else int(reps)
-    if reps < 1:
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    given["seed"] = _resolve_seed(given.get("seed"))
+    cfg = RunConfig(**given)
+    if cfg.reps < 1:
         raise DomainError("reps must be >= 1")
-    workers = getattr(args, "workers", None)
-    workers = 1 if workers is None else int(workers)
-    if workers < 1:
+    if cfg.workers < 1:
         raise DomainError("workers must be >= 1")
-    fmt = getattr(args, "format", None) or "json"
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in _PLUMBING_KEYS
-        and k not in ("seed", "reps", "workers", "output", "format", "dump_samples")
-        and v is not None
-    }
-    return RunConfig(
-        command=f"{args.command} {args.subcommand}",
-        seed=seed,
-        reps=reps,
-        workers=workers,
-        output=getattr(args, "output", None),
-        format=fmt,
-        dump_samples=getattr(args, "dump_samples", None),
-        params=params,
-    )
+    return cfg
 
 
-def _emit(cfg: RunConfig, payload: dict, samples) -> None:
+def _write(args, path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        args.leaf_parser.error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _emit(args, cfg: RunConfig, report) -> int:
+    """Print the report (under --format csv, its samples), copy it to
+    --output and the samples to --dump-samples; return the exit code."""
     if cfg.format == "csv":
-        if samples is None:
-            raise DomainError(
-                "csv output is only available for verify commands that draw samples"
-            )
-        text = samples_csv_text(samples)
+        text = samples_csv_text(report.samples)
     else:
+        payload = report if isinstance(report, dict) else report.to_dict()
         text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     sys.stdout.write(text)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args, cfg.output, text)
     if cfg.dump_samples:
-        if samples is None:
-            raise DomainError("--dump-samples requires a command that draws samples")
-        write_samples_csv(cfg.dump_samples, samples)
+        _write(args, cfg.dump_samples, samples_csv_text(report.samples))
+    return 3 if isinstance(report, VerificationReport) and not report.passed else 0
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    if any(_names_config(tok) for tok in argv):
+        argv = _config_as_flags(parser, argv)
     args = parser.parse_args(argv)
-    _merge_config(args)
     try:
         cfg = _build_config(args)
-        code, payload, samples = args.handler(args, cfg)
-        _emit(cfg, payload, samples)
-        return code
+        return _emit(args, cfg, args.handler(args, cfg))
     except ChaosBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -168,31 +168,16 @@ def _offspring_counts(law: OffspringLaw, rng, size: int) -> np.ndarray:
 
 
 def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
-    """Draw one total-progeny count (the root included) of a cascade.
+    """Draw one total-progeny count (the root included) of a cascade."""
+    return int(_sample_progeny_block(law, rng, 1, cap)[0])
+
+
+def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int) -> np.ndarray:
+    """Total-progeny counts of ``size`` cascades, grown in lockstep.
 
     Generations are collapsed: k alive individuals produce Poisson(k h)
     (resp. Binomial(k h, p)) children in one draw.
     """
-    if isinstance(law, FactorialMoments):
-        if any(v != 0 for v in law.values):
-            raise DomainError("a bare factorial-moment sequence has no sampler")
-        return 1
-    total = 1
-    alive = 1
-    while alive:
-        if isinstance(law, PoissonMean):
-            kids = int(rng.poisson(alive * law.h))
-        else:
-            kids = int(rng.binomial(alive * law.h, law.p))
-        total += kids
-        alive = kids
-        if total > cap:
-            raise CapExceeded(f"total progeny exceeded cap {cap}")
-    return total
-
-
-def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int) -> np.ndarray:
-    """Vectorized sample_progeny: one cascade per slot, all grown in lockstep."""
     if isinstance(law, FactorialMoments):
         if any(v != 0 for v in law.values):
             raise DomainError("a bare factorial-moment sequence has no sampler")
@@ -365,23 +350,16 @@ class VerificationReport:
         return {"kind": self.kind, "passed": self.passed, "details": self.details}
 
 
-def _run_indexed(fn, n: int, workers: int) -> np.ndarray:
-    """Evaluate fn(0..n-1), in parallel but placed by index, so the result is
-    independent of the worker count."""
-    if n <= 0:
-        return np.empty(0, dtype=float)
+def _run_indexed(fn, n: int, workers: int) -> list:
+    """[fn(0), ..., fn(n-1)], computed in parallel but placed by index, so the
+    result is independent of the worker count."""
     if workers <= 1:
-        return np.asarray([fn(i) for i in range(n)], dtype=float)
+        return [fn(i) for i in range(n)]
     block = max(1, math.ceil(n / (4 * workers)))
-    spans = [(s, min(s + block, n)) for s in range(0, n, block)]
-
-    def run_span(span):
-        s, e = span
-        return [fn(i) for i in range(s, e)]
-
+    spans = [range(s, min(s + block, n)) for s in range(0, n, block)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(run_span, spans))
-    return np.asarray([v for part in parts for v in part], dtype=float)
+        parts = list(ex.map(lambda span: [fn(i) for i in span], spans))
+    return [v for part in parts for v in part]
 
 
 def _bounds_for_scenario(scenario) -> GaussianBoundReport:
@@ -411,7 +389,7 @@ def _simulate_batch(scenario, n: int, seed: int, batch: int, workers: int) -> np
     def one(i: int) -> float:
         return draw(scenario, np.random.default_rng([seed, batch, i]))
 
-    return _run_indexed(one, n, workers)
+    return np.asarray(_run_indexed(one, n, workers), dtype=float)
 
 
 def verify_gaussian_bound(
@@ -556,12 +534,7 @@ def verify_moments(
         rng = np.random.default_rng([seed, ci])
         return _sample_progeny_block(offspring, rng, size, 10 ** 7)
 
-    if workers <= 1:
-        parts = [chunk(ci) for ci in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(chunk, range(n_chunks)))
-    draws = np.concatenate(parts).astype(float)
+    draws = np.concatenate(_run_indexed(chunk, n_chunks, workers)).astype(float)
 
     emp = {m: float(np.mean(draws ** m)) for m in range(1, 7)}
     checks = []

@@ -1,11 +1,15 @@
-"""End-to-end CLI tests through subprocess: goldens, exit codes, config
-merging, seeding, and output determinism."""
+"""End-to-end CLI tests, mostly through subprocess: goldens, exit codes,
+config files, seeding, and output determinism."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from chaos_bounds import cli
 
 CLI = [sys.executable, "-m", "chaos_bounds.cli"]
 
@@ -18,6 +22,17 @@ def run_cli(*args, env_extra=None):
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=env
     )
+
+
+def run_main(*args):
+    """Run cli.main in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_json(*args, **kw):
@@ -258,6 +273,53 @@ def test_config_not_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
     assert run_cli("delta", "poisson", "--config", str(cfg)).returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("bounds", "hawkes-poisson", "--lambda", "1", "--leb", "1e6", "--h", "0.5"), "mark", "exp:2"),
+        (("bounds", "interference", "--lambda", "50", "--R", "1", "--alpha", "4"), "power", "exp:1"),
+    ],
+    ids=["mark", "power"],
+)
+def test_config_mark_and_power_take_effect(tmp_path, argv, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    via_config = run_main(*argv, "--config", str(cfg))
+    via_flag = run_main(*argv, f"--{key}", value)
+    assert via_flag[0] == 0
+    assert via_config == via_flag
+    assert via_flag[1] != run_main(*argv)[1]  # the flag changes the report
+
+
+def test_config_bad_value_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": "abc", "lambda-leb": 1e4}))
+    code, out, err = run_main("delta", "poisson", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err and "--h" in err and "'abc'" in err
+
+
+def test_config_integral_float_reps(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"offspring": "poisson:0.5", "reps": 1e3, "seed": 1}))
+    code, out, _ = run_main("verify", "moments", "--config", str(cfg), "--workers", "1")
+    assert code in (0, 3)  # statistical verdict, not under test here
+    assert json.loads(out)["details"]["n_draws"] == 1000
+
+
+@pytest.mark.parametrize("flag", ["--output", "--dump-samples"])
+def test_unwritable_file_is_usage_error(tmp_path, flag):
+    path = tmp_path / "no-such-dir" / "file"
+    code, out, err = run_main(
+        "verify", "moments", "--offspring", "poisson:0.5", "--reps", "50", "--seed", "1",
+        flag, str(path),
+    )
+    assert code == 1
+    assert json.loads(out)["details"]["n_draws"] == 50  # the report still went to stdout
+    assert f"error: cannot write {path}" in err
 
 
 def test_output_file(tmp_path):
