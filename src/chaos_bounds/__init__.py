@@ -2,7 +2,14 @@
 cluster (Hawkes-type) and shot-noise models, with the concentration and
 moderate-deviation machinery that goes with them, and exact Monte Carlo
 harnesses to check everything at desk scale.
+
+The calculators need neither numpy nor scipy: importing the package loads
+only the standard library.  The Monte Carlo half (``simulate``: the models,
+samplers, empirical distances and ``verify_*`` harnesses) is imported on
+first use of one of its names.
 """
+from importlib import import_module as _import_module
+
 from .errors import (
     CapExceeded,
     ChaosBoundsError,
@@ -73,22 +80,39 @@ from .deviations import (
     total_loss_interval,
     verify_mark_gamma,
 )
-from .simulate import (
-    ClusterModel,
-    EmpiricalDistanceReport,
-    InterferenceModel,
-    VerificationReport,
-    dkw_margin,
-    empirical_distances,
-    empirical_kolmogorov,
-    empirical_wasserstein,
-    sample_cluster_window,
-    sample_interference,
-    sample_progeny,
-    verify_bci,
-    verify_gaussian_bound,
-    verify_moments,
-    write_samples_csv,
-)
 
 __version__ = "0.1.0"
+
+# simulate loads numpy and scipy, so its names (and the module itself) are
+# resolved on first access through the module __getattr__ (PEP 562).
+_SIMULATE_NAMES = frozenset({
+    "ClusterModel",
+    "EmpiricalDistanceReport",
+    "InterferenceModel",
+    "VerificationReport",
+    "dkw_margin",
+    "empirical_distances",
+    "empirical_kolmogorov",
+    "empirical_wasserstein",
+    "sample_cluster_window",
+    "sample_interference",
+    "sample_progeny",
+    "verify_bci",
+    "verify_gaussian_bound",
+    "verify_moments",
+    "write_samples_csv",
+})
+_LAZY = _SIMULATE_NAMES | {"simulate"}
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZY)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        simulate = _import_module(".simulate", __name__)
+        return simulate if name == "simulate" else getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _LAZY)

@@ -8,7 +8,10 @@ config file, unwritable --output or --dump-samples), 2 domain error,
 
 Every leaf command is one row of ``_COMMANDS``: its group, name, handler and
 flags, each flag declared once with its type, default and whether it is
-required.  ``build_parser`` builds argparse from that table.
+required.  ``build_parser`` builds argparse from that table; ``main`` builds
+it once per process and reuses it, since parsing never changes a parser.
+Only the verify handlers import ``simulate``, so a calculator command loads
+neither numpy nor scipy.
 
 The RNG seed resolves as: --seed flag, else the CHAOS_BOUNDS_SEED environment
 variable, else the fixed default 0xC0FFEE.  A JSON config file (--config) is
@@ -67,15 +70,6 @@ from .progeny import (
     factorial_moments,
     progeny_moment_series,
     progeny_moment_table,
-)
-from .simulate import (
-    ClusterModel,
-    InterferenceModel,
-    VerificationReport,
-    samples_csv_text,
-    verify_bci,
-    verify_gaussian_bound,
-    verify_moments,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -320,6 +314,8 @@ def _cmd_moments_abel(args, cfg):
 
 
 def _cmd_verify_moments(args, cfg):
+    from .simulate import verify_moments
+
     law = parse_offspring(args.offspring)
     return verify_moments(law, cfg.reps, cfg.seed, workers=cfg.workers)
 
@@ -334,6 +330,8 @@ _GAUSS_NEEDS = {
 
 
 def _build_gauss_scenario(args):
+    from .simulate import ClusterModel, InterferenceModel
+
     mark = parse_mark(args.mark)
     name = args.scenario
     if name == "compound-poisson" and args.lam is not None:
@@ -369,11 +367,15 @@ def _build_gauss_scenario(args):
 
 
 def _cmd_verify_gauss(args, cfg):
+    from .simulate import verify_gaussian_bound
+
     scenario = _build_gauss_scenario(args)
     return verify_gaussian_bound(scenario, cfg.reps, cfg.seed, workers=cfg.workers)
 
 
 def _cmd_verify_bci(args, cfg):
+    from .simulate import ClusterModel, verify_bci
+
     mark = parse_mark(args.mark)
     if not (args.delta_scale > 0 and math.isfinite(args.delta_scale)):
         raise DomainError("--delta-scale must be positive and finite")
@@ -597,11 +599,17 @@ def _write(args, path: str, text: str) -> None:
         args.leaf_parser.error(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _samples_csv(report) -> str:
+    from .simulate import samples_csv_text  # only verify reports carry samples
+
+    return samples_csv_text(report.samples)
+
+
 def _emit(args, cfg: RunConfig, report) -> int:
     """Print the report (under --format csv, its samples), copy it to
     --output and the samples to --dump-samples; return the exit code."""
     if cfg.format == "csv":
-        text = samples_csv_text(report.samples)
+        text = _samples_csv(report)
     else:
         payload = report if isinstance(report, dict) else report.to_dict()
         text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
@@ -609,13 +617,19 @@ def _emit(args, cfg: RunConfig, report) -> int:
     if cfg.output:
         _write(args, cfg.output, text)
     if cfg.dump_samples:
-        _write(args, cfg.dump_samples, samples_csv_text(report.samples))
-    return 3 if isinstance(report, VerificationReport) and not report.passed else 0
+        _write(args, cfg.dump_samples, _samples_csv(report))
+    return 0 if getattr(report, "passed", True) else 3
+
+
+_PARSER = None  # the one parser of this process, built on first use
 
 
 def main(argv=None) -> int:
+    global _PARSER
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     if any(_names_config(tok) for tok in argv):
         argv = _config_as_flags(parser, argv)
     args = parser.parse_args(argv)

@@ -14,9 +14,8 @@ for planar interference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DivergentIntegral, DomainError
 from .marks import MarkLaw
@@ -222,7 +221,7 @@ def hertzian_integral(R: float, alpha: float, m: int) -> float:
         raise DomainError("R must be positive and finite")
     if not (alpha > 1 and math.isfinite(alpha)):
         raise DomainError("alpha must be > 1")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (isinstance(m, numbers.Integral) and m >= 1):
         raise DomainError("m must be an integer >= 1")
     am = alpha * m
     if am <= 2.0:

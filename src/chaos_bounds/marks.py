@@ -8,13 +8,15 @@ law cannot be sampled.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, InsufficientMoments
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,8 @@ class ConstantMark:
         return abs(self.value) ** m
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        import numpy as np
+
         return np.full(size, float(self.value))
 
     def describe(self) -> dict:
@@ -152,7 +156,7 @@ MarkLaw = Union[
 
 
 def _check_order(m: int) -> None:
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (isinstance(m, numbers.Integral) and m >= 1):
         raise DomainError("moment order must be an integer >= 1")
 
 

@@ -19,12 +19,11 @@ Consul for the Binomial(h, p) cascade.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import Union
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -74,7 +73,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, np.integer)) and self.h >= 1):
+        if not (isinstance(self.h, numbers.Integral) and self.h >= 1):
             raise DomainError("Binomial offspring needs integer h >= 1")
         if not (0.0 < self.p < 1.0):
             raise DomainError("Binomial offspring needs 0 < p < 1")
@@ -122,7 +121,7 @@ def factorial_moments(law: OffspringLaw, n_max: int) -> list[float]:
     Poisson(h): E(P)_i = h^i.  Binomial(h, p): E(P)_i = (h)_i p^i with the
     falling factorial (h)_i = 0 once i > h.  A stored list is echoed.
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
         raise DomainError("n_max must be an integer >= 1")
     if isinstance(law, PoissonMean):
         return [law.h ** i for i in range(1, n_max + 1)]
@@ -156,7 +155,7 @@ def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
     where [u^i]_order (i >= 2) needs only c_1..c_{order-1}.  Each order costs
     O(order^2) and every term is >= 0, so nothing cancels.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (isinstance(n, numbers.Integral) and n >= 1):
         raise DomainError("moment order must be an integer >= 1")
     ep = law.mean
     _check_mean(ep)
@@ -259,10 +258,9 @@ def borel_pmf(h: float, k: int) -> float:
     """
     if not (0.0 < h < 1.0):
         raise DomainError("Borel pmf needs 0 < h < 1")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (isinstance(k, numbers.Integral) and k >= 1):
         raise DomainError("Borel pmf needs integer k >= 1")
-    log_p = -h * k + (k - 1) * math.log(h * k) - math.lgamma(k + 1)
-    return math.exp(log_p)
+    return math.exp(_borel_log_pmf(h, k))
 
 
 def consul_pmf(h: int, p: float, k: int) -> float:
@@ -271,40 +269,28 @@ def consul_pmf(h: int, p: float, k: int) -> float:
     The binomial coefficient is taken through log-gamma, since it overflows
     for k in the hundreds already.
     """
-    if not (isinstance(h, (int, np.integer)) and h >= 1):
+    if not (isinstance(h, numbers.Integral) and h >= 1):
         raise DomainError("Consul pmf needs integer h >= 1")
     if not (0.0 < p < 1.0):
         raise DomainError("Consul pmf needs 0 < p < 1")
     if h * p >= 1.0:
         raise SupercriticalError(f"hp = {h * p} >= 1")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (isinstance(k, numbers.Integral) and k >= 1):
         raise DomainError("Consul pmf needs integer k >= 1")
+    return math.exp(_consul_log_pmf(h, math.log(p), math.log1p(-p), k))
+
+
+# The unchecked log-pmfs behind borel_pmf / consul_pmf, shared with the series
+# sum, which checks its law once.  log_p, log_q are log p and log(1-p).
+
+
+def _borel_log_pmf(h: float, k: int) -> float:
+    return -h * k + (k - 1) * math.log(h * k) - math.lgamma(k + 1)
+
+
+def _consul_log_pmf(h: int, log_p: float, log_q: float, k: int) -> float:
     log_binom = math.lgamma(k * h + 1) - math.lgamma(k) - math.lgamma(k * (h - 1) + 2)
-    log_p = (
-        -math.log(k)
-        + log_binom
-        + (k - 1) * math.log(p)
-        + (k * (h - 1) + 1) * math.log1p(-p)
-    )
-    return math.exp(log_p)
-
-
-def _term_ratio_bound(law: OffspringLaw, k: int, m: int) -> float:
-    """Upper bound on t_{j+1}/t_j for all j >= k, where t_j = j^m pmf(j).
-
-    Borel: pmf(k+1)/pmf(k) = h e^{-h} (1+1/k)^{k-1}, which increases to
-    h e^{1-h} < 1.  Consul: the exact ratio is a product of h linear factors
-    over h-1 linear factors; bounding each factor gives
-    q e^{(h+1)/(2j)} with q = p h (h(1-p)/(h-1))^{h-1} (and plain p at h = 1).
-    The polynomial factor contributes (1+1/j)^m <= (1+1/k)^m.
-    """
-    poly = (1.0 + 1.0 / k) ** m
-    if isinstance(law, PoissonMean):
-        return poly * law.h * math.exp(1.0 - law.h)
-    if law.h == 1:
-        return poly * law.p
-    q = law.p * law.h * (law.h * (1.0 - law.p) / (law.h - 1)) ** (law.h - 1)
-    return poly * q * math.exp((law.h + 1) / (2.0 * k))
+    return -math.log(k) + log_binom + (k - 1) * log_p + (k * (h - 1) + 1) * log_q
 
 
 def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:
@@ -312,9 +298,16 @@ def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:
 
     Only the samplable families have a pmf, so the law must be PoissonMean or
     Binomial.  The sum stops once the dominating tail bound
-    t_k r/(1-r) drops below rel_tol times the partial sum.
+    t_k r/(1-r) drops below rel_tol times the partial sum, where r bounds
+    t_{j+1}/t_j for all j >= k, with t_j = j^m pmf(j).
+
+    Borel: pmf(k+1)/pmf(k) = h e^{-h} (1+1/k)^{k-1}, which increases to
+    h e^{1-h} < 1.  Consul: the exact ratio is a product of h linear factors
+    over h-1 linear factors; bounding each factor gives
+    q e^{(h+1)/(2j)} with q = p h (h(1-p)/(h-1))^{h-1} (and plain p at h = 1).
+    The polynomial factor contributes (1+1/j)^m <= (1+1/k)^m.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
+    if not (isinstance(m, numbers.Integral) and m >= 0):
         raise DomainError("m must be an integer >= 0")
     if not rel_tol > 0:
         raise DomainError("rel_tol must be > 0")
@@ -322,15 +315,29 @@ def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:
         raise DomainError("series oracle needs a Poisson or Binomial law")
     if m == 0:
         return 1.0
-    if isinstance(law, PoissonMean):
-        pmf = lambda k: borel_pmf(law.h, k)
+    # The law checked its parameters when it was built, so the terms skip
+    # the pmf's checks; the factors that depend only on the law are hoisted.
+    poisson = isinstance(law, PoissonMean)
+    h = law.h
+    if poisson:
+        e = math.exp(1.0 - h)
     else:
-        pmf = lambda k: consul_pmf(law.h, law.p, k)
+        p = law.p
+        log_p = math.log(p)
+        log_q = math.log1p(-p)
+        if h != 1:
+            q = p * h * (h * (1.0 - p) / (h - 1)) ** (h - 1)
     total = 0.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = float(k) ** m * pmf(k)
+        poly = (1.0 + 1.0 / k) ** m
+        if poisson:
+            log_pmf = _borel_log_pmf(h, k)
+            ratio = poly * h * e
+        else:
+            log_pmf = _consul_log_pmf(h, log_p, log_q, k)
+            ratio = poly * p if h == 1 else poly * q * math.exp((h + 1) / (2.0 * k))
+        term = float(k) ** m * math.exp(log_pmf)
         total += term
-        ratio = _term_ratio_bound(law, k, m)
         if ratio < 1.0:
             tail = term * ratio / (1.0 - ratio)
             if tail <= rel_tol * total:
@@ -371,7 +378,7 @@ def abel_plana_bound(nu: float, m: int) -> CertifiedSum:
     """
     if not nu > 0:
         raise DomainError("nu must be > 0")
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
+    if not (isinstance(m, numbers.Integral) and m >= 2):
         raise DomainError("m must be an integer >= 2")
     center = nu ** (-m) * math.factorial(m - 1)
     radius = 1.0 / (math.pi * (m - 1)) + 2.0 * math.factorial(m - 1) / math.pi ** m

@@ -11,6 +11,9 @@ Determinism: every replication i of batch b draws from its own
 standardization pass), and progeny draws are blocked into fixed chunks of
 4096 with per-chunk streams ``default_rng([seed, chunk])``.  Results are
 placed by index, so output is byte-identical for any worker count.
+
+scipy is imported by the empirical distances when they first run, so the
+samplers and ``verify_moments`` never load it.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .deviations import bci_bound, check_cumulant_condition
 from .errors import CapExceeded, DivergentModel, DomainError
@@ -262,6 +264,8 @@ def _standardized_sorted(samples, standardization) -> np.ndarray:
 def empirical_kolmogorov(samples, standardization=(0.0, 1.0)) -> float:
     """sup_t |F_n(t) - Phi(t)| for the standardized samples, evaluated exactly
     at the jump points."""
+    from scipy.special import ndtr
+
     z = _standardized_sorted(samples, standardization)
     n = z.size
     cdf = ndtr(z)
@@ -272,6 +276,8 @@ def empirical_kolmogorov(samples, standardization=(0.0, 1.0)) -> float:
 
 def _phi_antiderivative(t: np.ndarray) -> np.ndarray:
     # d/dt [t Phi(t) + phi(t)] = Phi(t), with limit 0 at -inf
+    from scipy.special import ndtr
+
     return t * ndtr(t) + np.exp(-0.5 * t * t) / _SQRT_TWO_PI
 
 
@@ -283,6 +289,8 @@ def empirical_wasserstein(samples, standardization=(0.0, 1.0)) -> float:
     point ndtri(c) (clipped into the segment) are known; the two tail pieces
     are int Phi below the minimum and int (1 - Phi) above the maximum.
     """
+    from scipy.special import ndtri
+
     z = _standardized_sorted(samples, standardization)
     n = z.size
     total = float(_phi_antiderivative(z[0]) + (_phi_antiderivative(z[-1]) - z[-1]))

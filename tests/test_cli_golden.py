@@ -181,18 +181,52 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+def check_case(argv: str, config, golden: dict, tmp: Path) -> None:
+    """Run one case and compare it with its golden."""
+    want = golden[case_id(argv, config)]
+    code, out = run(argv, config, tmp)
+    assert code == want["code"], argv
+    if argv.split()[:1] == ["verify"] and want["stdout"] and not argv.endswith("--help"):
+        assert close(parse_report(out), parse_report(want["stdout"])), argv
+    else:
+        assert out == want["stdout"], argv
+    if "{out}" in argv:
+        assert (tmp / "out.txt").read_text() == out
+
+
 @pytest.mark.parametrize("argv, config", CASES, ids=[case_id(a, c) for a, c in CASES])
 def test_cli_golden(argv, config, golden, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    want = golden[case_id(argv, config)]
-    code, out = run(argv, config, tmp_path)
-    assert code == want["code"]
-    if argv.split()[:1] == ["verify"] and want["stdout"] and not argv.endswith("--help"):
-        assert close(parse_report(out), parse_report(want["stdout"]))
-    else:
-        assert out == want["stdout"]
-    if "{out}" in argv:
-        assert (tmp_path / "out.txt").read_text() == out
+    check_case(argv, config, golden, tmp_path)
+
+
+def test_main_builds_the_parser_once(golden, tmp_path, monkeypatch):
+    """main builds its parser on the first call and reuses it after that."""
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    calls = []
+    build = cli.build_parser
+
+    def counting_build():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv, config in CASES[:30]:
+        check_case(argv, config, golden, tmp_path)
+    assert len(calls) == 1
+
+
+def test_cached_parser_keeps_no_state(golden, tmp_path, monkeypatch):
+    """Every golden call, run twice on one cached parser (the second time in
+    reverse order, so each call follows different ones), still matches:
+    help, usage errors, domain errors and config files leave nothing behind
+    in the parser."""
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for cases in (CASES, CASES[::-1]):
+        for argv, config in cases:
+            check_case(argv, config, golden, tmp_path)
 
 
 def freeze() -> None:

@@ -1,0 +1,90 @@
+"""Cold start: the calculators load neither numpy nor scipy nor the
+``simulate`` module; the package resolves simulate's names on first use.
+
+Module loading is per process, so each check runs in a fresh interpreter on
+the same copy of the package that this test imported.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chaos_bounds
+
+HEAVY = ("numpy", "scipy", "chaos_bounds.simulate")
+CALCULATORS = (
+    "tail bci --gamma 0 --delta 100 --x 10",
+    "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36",
+    "bounds hawkes-poisson --lambda 1 --leb 1e6 --h 0.5",
+)
+VERIFY = "verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1"
+
+
+def fresh(code: str):
+    """Run code in a fresh interpreter; return the JSON it prints last."""
+    env = dict(os.environ)
+    src = str(Path(chaos_bounds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_calculators_load_no_numpy_scipy_or_simulate():
+    got = fresh(f"""
+import contextlib, io, json, sys
+import chaos_bounds, chaos_bounds.cli as cli
+loaded = lambda: [m for m in {HEAVY!r} if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in {CALCULATORS!r}]
+    calculators = loaded()
+    codes.append(cli.main({VERIFY!r}.split()))
+print(json.dumps([codes, calculators, loaded()]))
+""")
+    codes, after_calculators, after_verify = got
+    assert codes == [0, 0, 0, 0]
+    assert after_calculators == []
+    assert after_verify == list(HEAVY)
+
+
+def test_simulate_names_resolve_lazily():
+    got = fresh("""
+import json, sys
+import chaos_bounds
+before = "chaos_bounds.simulate" in sys.modules
+verify_bci = chaos_bounds.verify_bci
+print(json.dumps([before, verify_bci is chaos_bounds.simulate.verify_bci]))
+""")
+    assert got == [False, True]
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chaos_bounds.no_such_name
+    assert not hasattr(chaos_bounds, "no_such_name")
+
+
+LISTED = ("verify_bci", "ClusterModel", "write_samples_csv", "simulate", "progeny_moment")
+
+
+def test_dir_lists_the_lazy_names_without_loading_them():
+    got = fresh(f"""
+import json, sys
+import chaos_bounds
+listed = dir(chaos_bounds)
+print(json.dumps([[n in listed for n in {LISTED!r}], "chaos_bounds.simulate" in sys.modules]))
+""")
+    assert got == [[True] * len(LISTED), False]
+
+
+def test_star_import_binds_the_lazy_names():
+    namespace = {}
+    exec("from chaos_bounds import *", namespace)
+    assert all(name in namespace for name in LISTED)
+    assert namespace["verify_bci"] is chaos_bounds.simulate.verify_bci
+    assert not any(name.startswith("_") for name in chaos_bounds.__all__)
