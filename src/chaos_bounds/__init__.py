@@ -31,7 +31,6 @@ from .marks import (
     MarkLaw,
     UniformMark,
     mark_abs_moments,
-    second_moment,
 )
 from .progeny import (
     Binomial,
@@ -54,15 +53,11 @@ from .gaussian_bounds import (
     KernelMoments,
     Region,
     cluster_bounds_for_law,
-    cluster_moment_bound,
     compound_cluster_bounds,
     first_chaos_bounds,
-    hawkes_binomial_bounds,
-    hawkes_poisson_bounds,
     hertzian_integral,
     interference_bounds,
     shotnoise_bounds,
-    standardized_kernel_moments,
 )
 from .deviations import (
     CumulantConditionReport,
@@ -87,11 +82,9 @@ __version__ = "0.1.0"
 # resolved on first access through the module __getattr__ (PEP 562).
 _SIMULATE_NAMES = frozenset({
     "ClusterModel",
-    "EmpiricalDistanceReport",
     "InterferenceModel",
     "VerificationReport",
     "dkw_margin",
-    "empirical_distances",
     "empirical_kolmogorov",
     "empirical_wasserstein",
     "sample_cluster_window",
@@ -100,7 +93,6 @@ _SIMULATE_NAMES = frozenset({
     "verify_bci",
     "verify_gaussian_bound",
     "verify_moments",
-    "write_samples_csv",
 })
 _LAZY = _SIMULATE_NAMES | {"simulate"}
 

@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import replace
 from typing import Callable
 
 from .deviations import (
@@ -44,10 +44,9 @@ from .errors import ChaosBoundsError, DomainError, UnknownFamily
 from .gaussian_bounds import (
     KernelMoments,
     Region,
+    cluster_bounds_for_law,
     compound_cluster_bounds,
     first_chaos_bounds,
-    hawkes_binomial_bounds,
-    hawkes_poisson_bounds,
     hertzian_integral,
     interference_bounds,
     shotnoise_bounds,
@@ -83,19 +82,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run settings shared by every subcommand.  Only the verify commands
-    take the run flags, whose defaults these are."""
-
-    seed: int
-    reps: int = 1000
-    workers: int = 1
-    output: str | None = None
-    format: str = "json"
-    dump_samples: str | None = None
 
 
 def integer(text: str) -> int:
@@ -189,67 +175,71 @@ def _json_default(obj):
 # --format csv and --dump-samples write.
 
 
-def _cmd_bounds_first_chaos(args, cfg):
+def _cmd_bounds_first_chaos(args):
     return first_chaos_bounds(args.m3, args.m4)
 
 
-def _cmd_bounds_shot_noise(args, cfg):
+def _cmd_bounds_shot_noise(args):
     return shotnoise_bounds(KernelMoments(args.i2, args.i3, args.i4))
 
 
-def _cmd_bounds_compound_cluster(args, cfg):
+def _cmd_bounds_compound_cluster(args):
     region = Region(args.lam, args.leb)
     return compound_cluster_bounds(region, parse_mark(args.mark), args.ez3, args.ez4)
 
 
-def _cmd_bounds_hawkes_poisson(args, cfg):
-    return hawkes_poisson_bounds(Region(args.lam, args.leb), args.h, parse_mark(args.mark))
-
-
-def _cmd_bounds_hawkes_binomial(args, cfg):
+def _cmd_bounds_hawkes(args):
+    """bounds hawkes-poisson and hawkes-binomial: the cluster bound of the
+    leaf's offspring law, echoing the law's family as kind and its
+    parameters."""
     region = Region(args.lam, args.leb)
-    return hawkes_binomial_bounds(region, args.h, args.p, parse_mark(args.mark))
+    mark = parse_mark(args.mark)
+    law = PoissonMean(args.h) if args.subcommand == "hawkes-poisson" else Binomial(args.h, args.p)
+    report = cluster_bounds_for_law(region, law, mark)
+    params = law.describe()
+    kind = "hawkes-" + params.pop("family")
+    return replace(report, inputs=dict(report.inputs, kind=kind, **params))
 
 
-def _cmd_bounds_interference(args, cfg):
+def _cmd_bounds_interference(args):
     power = parse_mark(args.power)
     moments = [power.abs_moment(k) for k in (2, 3, 4)]
     integrals = [hertzian_integral(args.R, args.alpha, k) for k in (2, 3, 4)]
     return interference_bounds(args.lam, *moments, *integrals)
 
 
-def _cmd_delta_poisson(args, cfg):
+def _cmd_delta_poisson(args):
     return delta_poisson(args.h, args.lambda_leb, args.gamma)
 
 
-def _cmd_delta_binomial(args, cfg):
+def _cmd_delta_binomial(args):
     return delta_binomial(args.h, args.p, args.lambda_leb, args.gamma)
 
 
-def _cmd_tail_bci(args, cfg):
+def _cmd_tail_bci(args):
     bound = bci_bound(args.gamma, args.delta, args.x)
     return {"gamma": args.gamma, "delta": args.delta, "x": args.x, "bound": bound}
 
 
-def _cmd_tail_insurance(args, cfg):
+def _cmd_tail_insurance(args):
     return insurance_tail_report(args.lam, args.h, args.mu, args.T, args.k, strict=args.strict)
 
 
-def _cmd_tail_interval(args, cfg):
+def _cmd_tail_interval(args):
     return total_loss_interval(args.lam, args.h, args.mu, args.T, args.x, strict=args.strict)
 
 
-def _cmd_tail_nacc(args, cfg):
+def _cmd_tail_nacc(args):
     window = list(nacc_window(args.gamma, args.delta, args.c0))
     return {"gamma": args.gamma, "delta": args.delta, "c0": args.c0, "window": window}
 
 
-def _cmd_tail_mdp(args, cfg):
+def _cmd_tail_mdp(args):
     rate = mdp_rate_inf((args.lower, args.upper))
     return {"interval": [args.lower, args.upper], "rate_inf": rate}
 
 
-def _cmd_tail_cumulant(args, cfg):
+def _cmd_tail_cumulant(args):
     mark = parse_mark(args.mark)
     gamma = args.gamma
     if gamma is None:  # no static default: the mark law's own gamma
@@ -265,19 +255,19 @@ def _cmd_tail_cumulant(args, cfg):
     return dict(report.to_dict(), gamma=gamma, delta=args.delta)
 
 
-def _cmd_moments_gw(args, cfg):
+def _cmd_moments_gw(args):
     law = parse_offspring(args.offspring)
     moments = list(progeny_moment_table(law, args.n).moments)
     return {"offspring": law.describe(), "n": args.n, "moments": moments}
 
 
-def _cmd_moments_factorial(args, cfg):
+def _cmd_moments_factorial(args):
     law = parse_offspring(args.offspring)
     values = factorial_moments(law, args.n)
     return {"offspring": law.describe(), "n": args.n, "factorial_moments": values}
 
 
-def _cmd_moments_series(args, cfg):
+def _cmd_moments_series(args):
     law = parse_offspring(args.offspring)
     return {
         "offspring": law.describe(),
@@ -287,7 +277,7 @@ def _cmd_moments_series(args, cfg):
     }
 
 
-def _cmd_moments_pmf(args, cfg):
+def _cmd_moments_pmf(args):
     law = parse_offspring(args.offspring)
     ks = range(1, args.k_max + 1)
     if args.k_max < 1:
@@ -301,7 +291,7 @@ def _cmd_moments_pmf(args, cfg):
     return {"offspring": law.describe(), "k_max": args.k_max, "pmf": pmf}
 
 
-def _cmd_moments_abel(args, cfg):
+def _cmd_moments_abel(args):
     cs = abel_plana_bound(args.nu, args.m)
     return {
         "nu": args.nu,
@@ -313,11 +303,11 @@ def _cmd_moments_abel(args, cfg):
     }
 
 
-def _cmd_verify_moments(args, cfg):
+def _cmd_verify_moments(args):
     from .simulate import verify_moments
 
     law = parse_offspring(args.offspring)
-    return verify_moments(law, cfg.reps, cfg.seed, workers=cfg.workers)
+    return verify_moments(law, args.reps, args.seed, workers=args.workers)
 
 
 # the flags each verify gauss scenario needs on top of its table row
@@ -366,14 +356,14 @@ def _build_gauss_scenario(args):
     return ClusterModel(lam, args.T, offspring, mark=mark, delay_rate=args.beta)
 
 
-def _cmd_verify_gauss(args, cfg):
+def _cmd_verify_gauss(args):
     from .simulate import verify_gaussian_bound
 
     scenario = _build_gauss_scenario(args)
-    return verify_gaussian_bound(scenario, cfg.reps, cfg.seed, workers=cfg.workers)
+    return verify_gaussian_bound(scenario, args.reps, args.seed, workers=args.workers)
 
 
-def _cmd_verify_bci(args, cfg):
+def _cmd_verify_bci(args):
     from .simulate import ClusterModel, verify_bci
 
     mark = parse_mark(args.mark)
@@ -391,9 +381,9 @@ def _cmd_verify_bci(args, cfg):
         gamma,
         base.delta * args.delta_scale,
         [k * args.x_step for k in range(steps + 1)],
-        cfg.reps,
-        cfg.seed,
-        workers=cfg.workers,
+        args.reps,
+        args.seed,
+        workers=args.workers,
         m_max=args.m_max,
     )
     report.details.update(
@@ -422,9 +412,9 @@ _IO_FLAGS = (
 # shared by the verify leaves
 _RUN_FLAGS = (
     Flag("--seed", integer),
-    Flag("--reps", integer, RunConfig.reps),
-    Flag("--workers", integer, RunConfig.workers),
-    Flag("--format", str, RunConfig.format, choices=("json", "csv")),
+    Flag("--reps", integer, 1000),
+    Flag("--workers", integer, 1),
+    Flag("--format", str, "json", choices=("json", "csv")),
     Flag("--dump-samples", str, metavar="PATH"),
 )
 
@@ -441,9 +431,9 @@ _COMMANDS = (
      (_req("--i2"), _req("--i3"), _req("--i4"))),
     ("bounds", "compound-cluster", _cmd_bounds_compound_cluster,
      (_LAMBDA, _req("--leb"), _MARK, _req("--ez3"), _req("--ez4"))),
-    ("bounds", "hawkes-poisson", _cmd_bounds_hawkes_poisson,
+    ("bounds", "hawkes-poisson", _cmd_bounds_hawkes,
      (_LAMBDA, _req("--leb"), _req("--h"), _MARK)),
-    ("bounds", "hawkes-binomial", _cmd_bounds_hawkes_binomial,
+    ("bounds", "hawkes-binomial", _cmd_bounds_hawkes,
      (_LAMBDA, _req("--leb"), _req("--h", integer), _req("--p"), _MARK)),
     ("bounds", "interference", _cmd_bounds_interference,
      (_LAMBDA, _req("--R"), _req("--alpha"), _POWER)),
@@ -521,7 +511,7 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# config file, run config, output
+# config file, run flags, output
 
 
 def _names_config(token: str) -> bool:
@@ -566,29 +556,23 @@ def _config_as_flags(parser: _Parser, argv: list) -> list:
     return argv[:2] + tokens + argv[2:]
 
 
-def _resolve_seed(seed) -> int:
+def _resolve_run_flags(args) -> None:
+    """Resolve the seed of a leaf with run flags in place, then check its
+    replication and worker counts."""
     raw = os.environ.get(SEED_ENV_VAR)
-    if seed is None and raw is not None:
+    if args.seed is None and raw is not None:
         try:
-            seed = int(raw, 0)
+            args.seed = int(raw, 0)
         except ValueError:
             raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    if seed is None:
-        seed = DEFAULT_SEED
-    if not 0 <= seed < 2 ** 64:
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
+    if not 0 <= args.seed < 2 ** 64:
         raise DomainError("seed must be a 64-bit unsigned integer")
-    return seed
-
-
-def _build_config(args) -> RunConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    given["seed"] = _resolve_seed(given.get("seed"))
-    cfg = RunConfig(**given)
-    if cfg.reps < 1:
+    if args.reps < 1:
         raise DomainError("reps must be >= 1")
-    if cfg.workers < 1:
+    if args.workers < 1:
         raise DomainError("workers must be >= 1")
-    return cfg
 
 
 def _write(args, path: str, text: str) -> None:
@@ -605,19 +589,19 @@ def _samples_csv(report) -> str:
     return samples_csv_text(report.samples)
 
 
-def _emit(args, cfg: RunConfig, report) -> int:
+def _emit(args, report) -> int:
     """Print the report (under --format csv, its samples), copy it to
     --output and the samples to --dump-samples; return the exit code."""
-    if cfg.format == "csv":
+    if getattr(args, "format", None) == "csv":
         text = _samples_csv(report)
     else:
         payload = report if isinstance(report, dict) else report.to_dict()
         text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     sys.stdout.write(text)
-    if cfg.output:
-        _write(args, cfg.output, text)
-    if cfg.dump_samples:
-        _write(args, cfg.dump_samples, _samples_csv(report))
+    if args.output:
+        _write(args, args.output, text)
+    if getattr(args, "dump_samples", None):
+        _write(args, args.dump_samples, _samples_csv(report))
     return 0 if getattr(report, "passed", True) else 3
 
 
@@ -634,8 +618,9 @@ def main(argv=None) -> int:
         argv = _config_as_flags(parser, argv)
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        return _emit(args, cfg, args.handler(args, cfg))
+        if "seed" in args:  # only the verify leaves take the run flags
+            _resolve_run_flags(args)
+        return _emit(args, args.handler(args))
     except ChaosBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

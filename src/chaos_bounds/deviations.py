@@ -17,7 +17,7 @@ specialization of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     DomainError,
@@ -48,11 +48,7 @@ class DeviationParams:
     case_label: str
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "case_label": self.case_label,
-        }
+        return asdict(self)
 
 
 def mark_gamma(mark: MarkLaw) -> float:
@@ -323,16 +319,7 @@ class InsuranceTailReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "t_threshold": self.t_threshold,
-            "simplified": self.simplified,
-            "linear_exponent": self.linear_exponent,
-            "sqrt_exponent": self.sqrt_exponent,
-            "bound": self.bound,
-            "regime_ok": self.regime_ok,
-            "vacuous": self.vacuous,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
 
 def insurance_tail_report(
@@ -387,16 +374,7 @@ class TotalLossInterval:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "half_width": self.half_width,
-            "lower": self.lower,
-            "upper": self.upper,
-            "prob_lower_bound": self.prob_lower_bound,
-            "regime_ok": self.regime_ok,
-            "vacuous": self.vacuous,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
 
 def total_loss_interval(

@@ -15,16 +15,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DivergentIntegral, DomainError
 from .marks import MarkLaw
-from .progeny import (
-    Binomial,
-    OffspringLaw,
-    PoissonMean,
-    progeny_moment_closed,
-)
+from .progeny import OffspringLaw, progeny_moment_closed
 
 
 @dataclass(frozen=True)
@@ -77,12 +72,7 @@ class GaussianBoundReport:
         return self.dk_bound >= 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "dw_bound": self.dw_bound,
-            "dk_bound": self.dk_bound,
-            "vacuous": self.vacuous,
-            "inputs": self.inputs,
-        }
+        return dict(asdict(self), vacuous=self.vacuous)
 
 
 def _dk_from(dw: float, m4: float) -> float:
@@ -112,27 +102,6 @@ def shotnoise_bounds(km: KernelMoments) -> GaussianBoundReport:
         dk_bound=_dk_from(dw, r4),
         inputs={"kind": "shot-noise", "i2": km.i2, "i3_abs": km.i3_abs, "i4": km.i4},
     )
-
-
-def standardized_kernel_moments(
-    raw: list[tuple[int, float]],
-) -> list[tuple[int, float]]:
-    """Divide each (m, value) pair by i2^{m/2}; the m = 2 entry maps to 1."""
-    i2 = None
-    for m, v in raw:
-        if m == 2:
-            i2 = v
-    if i2 is None or i2 <= 0:
-        raise DomainError("a positive order-2 entry is required")
-    return [(m, v / i2 ** (m / 2.0)) for m, v in raw]
-
-
-def cluster_moment_bound(leb: float, ezm: float, emm: float) -> float:
-    """leb * E Z^m * E|M|^m, an upper bound on the m-th windowed cluster-kernel
-    integral."""
-    if leb < 0 or ezm < 0 or emm < 0:
-        raise DomainError("all factors must be >= 0")
-    return leb * ezm * emm
 
 
 def compound_cluster_bounds(
@@ -170,40 +139,12 @@ def compound_cluster_bounds(
     )
 
 
-def hawkes_poisson_bounds(
-    region: Region, h: float, mark: MarkLaw
-) -> GaussianBoundReport:
-    """Compound cluster bounds with Poisson(h) cascade sizes."""
-    law = PoissonMean(h)
-    report = compound_cluster_bounds(
-        region,
-        mark,
-        progeny_moment_closed(law, 3),
-        progeny_moment_closed(law, 4),
-    )
-    inputs = dict(report.inputs, kind="hawkes-poisson", h=h)
-    return GaussianBoundReport(report.dw_bound, report.dk_bound, inputs)
-
-
-def hawkes_binomial_bounds(
-    region: Region, h: int, p: float, mark: MarkLaw
-) -> GaussianBoundReport:
-    """Compound cluster bounds with Binomial(h, p) cascade sizes."""
-    law = Binomial(h, p)
-    report = compound_cluster_bounds(
-        region,
-        mark,
-        progeny_moment_closed(law, 3),
-        progeny_moment_closed(law, 4),
-    )
-    inputs = dict(report.inputs, kind="hawkes-binomial", h=h, p=p)
-    return GaussianBoundReport(report.dw_bound, report.dk_bound, inputs)
-
-
 def cluster_bounds_for_law(
     region: Region, law: OffspringLaw, mark: MarkLaw
 ) -> GaussianBoundReport:
-    """Compound cluster bounds for any offspring law with 4 moments."""
+    """Compound cluster bounds for any offspring law with 4 moments: the
+    exact E Z^3 and E Z^4 of its cascade sizes fed to
+    ``compound_cluster_bounds``, so the echo reads "compound-cluster"."""
     return compound_cluster_bounds(
         region,
         mark,

@@ -160,10 +160,6 @@ def _check_order(m: int) -> None:
         raise DomainError("moment order must be an integer >= 1")
 
 
-def second_moment(mark: MarkLaw) -> float:
-    return mark.abs_moment(2)
-
-
 def mark_abs_moments(mark: MarkLaw, m_max: int) -> list[float]:
     """[E|M|^1, ..., E|M|^m_max]."""
     return [mark.abs_moment(m) for m in range(1, m_max + 1)]

@@ -316,29 +316,6 @@ def dkw_margin(n: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
-@dataclass(frozen=True)
-class EmpiricalDistanceReport:
-    n: int
-    kolmogorov: float
-    wasserstein: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kolmogorov": self.kolmogorov,
-            "wasserstein": self.wasserstein,
-        }
-
-
-def empirical_distances(samples, standardization=(0.0, 1.0)) -> EmpiricalDistanceReport:
-    z = np.asarray(samples, dtype=float)
-    return EmpiricalDistanceReport(
-        n=int(z.size),
-        kolmogorov=empirical_kolmogorov(z, standardization),
-        wasserstein=empirical_wasserstein(z, standardization),
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification drivers
 
@@ -400,6 +377,15 @@ def _simulate_batch(scenario, n: int, seed: int, batch: int, workers: int) -> np
     return np.asarray(_run_indexed(one, n, workers), dtype=float)
 
 
+def _calibrate(scenario, n: int, seed: int, workers: int) -> tuple[float, float]:
+    """(mean, sd) of n batch-1 draws: the empirical standardization."""
+    calibration = _simulate_batch(scenario, n, seed, 1, workers)
+    sd = float(calibration.std(ddof=1))
+    if sd == 0.0:
+        raise DomainError("simulated distribution is degenerate (zero variance)")
+    return float(calibration.mean()), sd
+
+
 def verify_gaussian_bound(
     scenario, n_reps: int, seed: int, workers: int = 1
 ) -> VerificationReport:
@@ -416,11 +402,7 @@ def verify_gaussian_bound(
         raise DomainError("n_reps must be >= 2")
     report = _bounds_for_scenario(scenario)
     if isinstance(scenario, ClusterModel):
-        calibration = _simulate_batch(scenario, 10 * n_reps, seed, 1, workers)
-        mu = float(calibration.mean())
-        sd = float(calibration.std(ddof=1))
-        if sd == 0.0:
-            raise DomainError("simulated distribution is degenerate (zero variance)")
+        mu, sd = _calibrate(scenario, 10 * n_reps, seed, workers)
         standardization = {"kind": "empirical", "n_calibration": 10 * n_reps}
     else:
         p = scenario.power
@@ -483,11 +465,7 @@ def verify_bci(
     if any(x < 0 for x in xs):
         raise DomainError("x_grid values must be >= 0")
 
-    calibration = _simulate_batch(scenario, n_reps, seed, 1, workers)
-    mu = float(calibration.mean())
-    sd = float(calibration.std(ddof=1))
-    if sd == 0.0:
-        raise DomainError("simulated distribution is degenerate (zero variance)")
+    mu, sd = _calibrate(scenario, n_reps, seed, workers)
     main = _simulate_batch(scenario, n_reps, seed, 0, workers)
     z = (main - mu) / sd
 
@@ -571,8 +549,3 @@ def samples_csv_text(samples) -> str:
     )
     return "\n".join(lines) + "\n"
 
-
-def write_samples_csv(path, samples) -> None:
-    """Dump draws as two columns, full repr precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(samples_csv_text(samples))

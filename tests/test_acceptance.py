@@ -28,7 +28,7 @@ from chaos_bounds import (
     delta_poisson,
     dkw_margin,
     abel_plana_bound,
-    hawkes_poisson_bounds,
+    cluster_bounds_for_law,
     hertzian_integral,
     insurance_tail_report,
     mark_abs_moments,
@@ -132,7 +132,7 @@ def test_criterion_03_certified_exponential_sums():
 
 def test_criterion_04_frozen_goldens():
     with criterion("criterion 04 frozen goldens", 1.0) as c:
-        r = hawkes_poisson_bounds(Region(1.0, 1e6), 0.5, ConstantMark(1.0))
+        r = cluster_bounds_for_law(Region(1.0, 1e6), PoissonMean(0.5), ConstantMark(1.0))
         c.check(abs(r.dw_bound - 0.064) <= 1e-12, "hawkes dw")
         c.check(abs(r.dk_bound - 0.2208440) <= 1e-6, "hawkes dk")
         d = delta_poisson(0.5, 1e4).delta

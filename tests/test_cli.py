@@ -60,6 +60,8 @@ def test_bounds_hawkes_poisson_golden():
     assert abs(out["dw_bound"] - 0.064) <= 1e-12
     assert abs(out["dk_bound"] - 0.22084441020371193) <= 1e-9
     assert out["vacuous"] is False
+    assert out["inputs"]["kind"] == "hawkes-poisson"
+    assert out["inputs"]["h"] == 0.5
 
 
 def test_bounds_interference_golden():
@@ -249,6 +251,14 @@ def test_env_seed_bad_value():
         env_extra={"CHAOS_BOUNDS_SEED": "xyz"},
     )
     assert proc.returncode == 2
+
+
+def test_env_seed_ignored_by_calculators():
+    # only the verify commands read a seed, so a bad one cannot fail a calculator
+    args = ("tail", "bci", "--gamma", "0", "--delta", "100", "--x", "10")
+    bad = run_cli(*args, env_extra={"CHAOS_BOUNDS_SEED": "xyz"})
+    assert bad.returncode == 0, bad.stderr
+    assert bad.stdout == run_cli(*args).stdout
 
 
 def test_config_file_merge(tmp_path):

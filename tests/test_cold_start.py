@@ -69,7 +69,7 @@ def test_unknown_attribute_raises():
     assert not hasattr(chaos_bounds, "no_such_name")
 
 
-LISTED = ("verify_bci", "ClusterModel", "write_samples_csv", "simulate", "progeny_moment")
+LISTED = ("verify_bci", "ClusterModel", "dkw_margin", "simulate", "progeny_moment")
 
 
 def test_dir_lists_the_lazy_names_without_loading_them():

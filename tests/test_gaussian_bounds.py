@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from chaos_bounds import (
     Binomial,
+    CenteredGaussianMark,
     ConstantMark,
     DivergentIntegral,
     DomainError,
@@ -22,15 +25,12 @@ from chaos_bounds import (
     Region,
     UniformMark,
     cluster_bounds_for_law,
-    cluster_moment_bound,
     compound_cluster_bounds,
     first_chaos_bounds,
-    hawkes_binomial_bounds,
-    hawkes_poisson_bounds,
     hertzian_integral,
     interference_bounds,
+    progeny_moment_closed,
     shotnoise_bounds,
-    standardized_kernel_moments,
 )
 
 UNIT = ConstantMark(1.0)
@@ -60,21 +60,6 @@ def test_shotnoise_golden_and_scale_invariance():
         assert np.isclose(rc.dk_bound, r.dk_bound, rtol=1e-12)
 
 
-def test_standardized_kernel_moments():
-    out = dict(standardized_kernel_moments([(2, 4.0), (3, 8.0), (4, 32.0)]))
-    assert out[2] == 1.0
-    assert out[3] == 1.0  # 8 / 4^{3/2}
-    assert out[4] == 2.0  # 32 / 16
-    with pytest.raises(DomainError):
-        standardized_kernel_moments([(3, 8.0)])
-
-
-def test_cluster_moment_bound():
-    assert cluster_moment_bound(100.0, 8.0, 2.0) == 1600.0
-    with pytest.raises(DomainError):
-        cluster_moment_bound(-1.0, 8.0, 2.0)
-
-
 def test_compound_cluster_golden():
     # no cascade (E Z^m = 1), unit marks: dw = 1/sqrt(lam leb), dk with
     # m4 = 1/(lam leb)
@@ -92,17 +77,16 @@ def test_compound_cluster_mark_scale_invariance():
 
 
 def test_hawkes_poisson_golden():
-    r = hawkes_poisson_bounds(Region(1.0, 1e6), 0.5, UNIT)
+    r = cluster_bounds_for_law(Region(1.0, 1e6), PoissonMean(0.5), UNIT)
     assert abs(r.dw_bound - 0.064) <= 1e-15
     assert abs(r.dk_bound - 0.22084441020371193) <= 1e-12
     assert not r.vacuous
-    assert r.inputs["kind"] == "hawkes-poisson"
     assert r.inputs["ez3"] == 64.0 and r.inputs["ez4"] == 832.0
 
 
 def test_hawkes_binomial_golden():
     # h = 1, p = 0.5: E Z^3 = 26, E Z^4 = 150
-    r = hawkes_binomial_bounds(Region(1.0, 1e4), 1, 0.5, UNIT)
+    r = cluster_bounds_for_law(Region(1.0, 1e4), Binomial(1, 0.5), UNIT)
     assert np.isclose(r.dw_bound, 26.0 / 100.0, rtol=1e-12)
     assert r.inputs["ez4"] == 150.0
 
@@ -111,28 +95,81 @@ def test_hawkes_small_h_approaches_compound():
     # as h -> 0 the cascade dies instantly and the Hawkes bound approaches the
     # pure compound bound with E Z^m = 1
     flat = compound_cluster_bounds(Region(1.0, 1e4), UNIT, 1.0, 1.0)
-    r = hawkes_poisson_bounds(Region(1.0, 1e4), 1e-9, UNIT)
+    r = cluster_bounds_for_law(Region(1.0, 1e4), PoissonMean(1e-9), UNIT)
     assert np.isclose(r.dw_bound, flat.dw_bound, rtol=1e-6)
     assert np.isclose(r.dk_bound, flat.dk_bound, rtol=1e-6)
 
 
-def test_cluster_bounds_for_law_matches_named():
-    region = Region(1.0, 1e4)
-    a = cluster_bounds_for_law(region, PoissonMean(0.3), ExponentialMark(1.0))
-    b = hawkes_poisson_bounds(region, 0.3, ExponentialMark(1.0))
-    assert a.dw_bound == b.dw_bound and a.dk_bound == b.dk_bound
-    c = cluster_bounds_for_law(region, Binomial(2, 0.25), UNIT)
-    d = hawkes_binomial_bounds(region, 2, 0.25, UNIT)
-    assert c.dw_bound == d.dw_bound and c.dk_bound == d.dk_bound
-
-
 def test_bounds_decrease_with_window():
-    small = hawkes_poisson_bounds(Region(1.0, 1e2), 0.5, UNIT)
-    large = hawkes_poisson_bounds(Region(1.0, 1e6), 0.5, UNIT)
+    small = cluster_bounds_for_law(Region(1.0, 1e2), PoissonMean(0.5), UNIT)
+    large = cluster_bounds_for_law(Region(1.0, 1e6), PoissonMean(0.5), UNIT)
     assert large.dw_bound < small.dw_bound
     assert large.dk_bound < small.dk_bound
     # dw scales exactly like (lam leb)^{-1/2}
     assert np.isclose(small.dw_bound / large.dw_bound, 100.0, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the one cluster bound over random laws, marks and regions
+
+laws = st.one_of(
+    st.builds(PoissonMean, st.floats(0.01, 0.9)),
+    st.integers(1, 6).flatmap(
+        lambda h: st.builds(Binomial, st.just(h), st.floats(0.01, 0.9 / h))
+    ),
+)
+MARK_FAMILIES = (ConstantMark, UniformMark, ExponentialMark, CenteredGaussianMark)
+# (family, parameter): the parameter of each family scales with the mark
+marks = st.tuples(st.sampled_from(MARK_FAMILIES), st.floats(0.1, 10.0))
+regions = st.builds(Region, st.floats(0.01, 100.0), st.floats(1.0, 1e8))
+scales = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=regions, law=laws, mark=marks)
+def test_cluster_bounds_for_law_is_compound_cluster_bounds(region, law, mark):
+    family, param = mark
+    m = family(param)
+    want = compound_cluster_bounds(
+        region, m, progeny_moment_closed(law, 3), progeny_moment_closed(law, 4)
+    )
+    assert cluster_bounds_for_law(region, law, m) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=regions, law=laws, mark=marks, c=scales)
+def test_cluster_bounds_mark_scale_invariance(region, law, mark, c):
+    family, param = mark
+    base = cluster_bounds_for_law(region, law, family(param))
+    scaled = cluster_bounds_for_law(region, law, family(c * param))
+    assert math.isclose(scaled.dw_bound, base.dw_bound, rel_tol=1e-12)
+    assert math.isclose(scaled.dk_bound, base.dk_bound, rel_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=regions, b=regions, law=laws, mark=marks)
+def test_cluster_bounds_dw_scales_with_window_mass(a, b, law, mark):
+    # dw * sqrt(lam |W|) depends on the law and the mark alone
+    family, param = mark
+    dw_a = cluster_bounds_for_law(a, law, family(param)).dw_bound
+    dw_b = cluster_bounds_for_law(b, law, family(param)).dw_bound
+    ratio = math.sqrt((b.lam * b.leb) / (a.lam * a.leb))
+    assert math.isclose(dw_a / dw_b, ratio, rel_tol=1e-12)
+
+
+# kernel moments are 0 (a symmetric or degenerate kernel) or normal floats:
+# c^m times a subnormal moment is rounded to far fewer than 12 digits, so the
+# scaled input would no longer be the exact rescaling the property is about
+kernel_moments = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(i2=st.floats(1e-3, 1e3), i3=kernel_moments, i4=kernel_moments, c=scales)
+def test_shotnoise_kernel_rescaling_invariance(i2, i3, i4, c):
+    base = shotnoise_bounds(KernelMoments(i2, i3, i4))
+    scaled = shotnoise_bounds(KernelMoments(c ** 2 * i2, c ** 3 * i3, c ** 4 * i4))
+    assert math.isclose(scaled.dw_bound, base.dw_bound, rel_tol=1e-12)
+    assert math.isclose(scaled.dk_bound, base.dk_bound, rel_tol=1e-12)
 
 
 def test_hertzian_integral_closed_form():
@@ -217,6 +254,6 @@ def test_validation():
 
 
 def test_report_serialization():
-    d = hawkes_poisson_bounds(Region(1.0, 1e6), 0.5, UNIT).to_dict()
+    d = cluster_bounds_for_law(Region(1.0, 1e6), PoissonMean(0.5), UNIT).to_dict()
     assert set(d) == {"dw_bound", "dk_bound", "vacuous", "inputs"}
     assert d["inputs"]["mark"] == {"family": "constant", "value": 1.0}

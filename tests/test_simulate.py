@@ -25,7 +25,6 @@ from chaos_bounds import (
     consul_pmf,
     delta_poisson,
     dkw_margin,
-    empirical_distances,
     empirical_kolmogorov,
     empirical_wasserstein,
     hertzian_integral,
@@ -36,7 +35,6 @@ from chaos_bounds import (
     verify_bci,
     verify_gaussian_bound,
     verify_moments,
-    write_samples_csv,
 )
 from chaos_bounds.simulate import samples_csv_text
 
@@ -255,10 +253,10 @@ def test_distance_validation():
         empirical_kolmogorov([math.nan])
 
 
-def test_empirical_distances_report():
-    r = empirical_distances([0.0])
-    assert r.n == 1 and r.kolmogorov == 0.5
-    assert set(r.to_dict()) == {"n", "kolmogorov", "wasserstein"}
+def test_single_sample_distances():
+    # one point at 0: sup |1{t >= 0} - Phi| = 1/2, and int |.| dt = E|N(0,1)|
+    assert empirical_kolmogorov([0.0]) == 0.5
+    assert np.isclose(empirical_wasserstein([0.0]), math.sqrt(2.0 / math.pi), rtol=1e-12)
 
 
 def test_dkw_margin_values():
@@ -411,7 +409,7 @@ def test_verification_report_excludes_samples():
 # CSV export
 
 
-def test_samples_csv_roundtrip(tmp_path):
+def test_samples_csv_roundtrip():
     samples = np.array([1.0, 2.5, -0.125, 1e-17])
     text = samples_csv_text(samples)
     lines = text.strip().split("\n")
@@ -419,7 +417,3 @@ def test_samples_csv_roundtrip(tmp_path):
     assert lines[1] == "0,1.0"
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     assert parsed == samples.tolist()
-
-    path = tmp_path / "samples.csv"
-    write_samples_csv(path, samples)
-    assert path.read_text() == text
