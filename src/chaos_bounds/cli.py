@@ -369,13 +369,15 @@ def _cmd_verify_bci(args):
     mark = parse_mark(args.mark)
     if not (args.delta_scale > 0 and math.isfinite(args.delta_scale)):
         raise DomainError("--delta-scale must be positive and finite")
-    if not (args.x_step > 0 and args.x_max >= 0):
-        raise DomainError("need --x-step > 0 and --x-max >= 0")
+    if not (0 < args.x_step < math.inf and 0 <= args.x_max < math.inf):
+        raise DomainError("need finite --x-step > 0 and --x-max >= 0")
+    steps = math.floor(args.x_max / args.x_step + 1e-9)
+    if steps >= 10_000:
+        raise DomainError(f"the x-grid would have {steps + 1} points; at most 10000 are allowed")
 
     scenario = ClusterModel(args.lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=args.beta)
     gamma = mark_gamma(mark)
     base = delta_poisson(args.h, args.lam * args.T, gamma)
-    steps = int(math.floor(args.x_max / args.x_step + 1e-9))
     report = verify_bci(
         scenario,
         gamma,

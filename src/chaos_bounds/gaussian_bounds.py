@@ -34,6 +34,8 @@ class Region:
             raise DomainError("region intensity must be positive and finite")
         if not (self.leb > 0 and math.isfinite(self.leb)):
             raise DomainError("region volume must be positive and finite")
+        if not 0.0 < self.lam * self.leb < math.inf:
+            raise DomainError("region mass lam * leb must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,18 @@ class GaussianBoundReport:
         return dict(asdict(self), vacuous=self.vacuous)
 
 
+def _divisor(base: float, exponent: float, factor: float = 1.0) -> float:
+    """base ** exponent * factor, which a bound divides by: a DomainError when
+    it leaves float range (a 0 crashes the division, an inf fakes a 0 bound)."""
+    try:
+        value = base ** exponent * factor
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError("a normalizer of the bound is 0 or not finite in floating point")
+    return value
+
+
 def _dk_from(dw: float, m4: float) -> float:
     return (1.0 + 0.5 * max(4.0, (4.0 * m4 + 2.0) ** 0.25)) * dw + math.sqrt(m4)
 
@@ -95,8 +109,8 @@ def shotnoise_bounds(km: KernelMoments) -> GaussianBoundReport:
     """Bounds for a standardized shot-noise functional from its raw kernel
     integrals; invariant under kernel rescaling (i2,i3,i4) -> (c^2 i2, c^3 i3,
     c^4 i4)."""
-    dw = km.i3_abs / km.i2 ** 1.5
-    r4 = km.i4 / km.i2 ** 2
+    dw = km.i3_abs / _divisor(km.i2, 1.5)
+    r4 = km.i4 / _divisor(km.i2, 2)
     return GaussianBoundReport(
         dw_bound=dw,
         dk_bound=_dk_from(dw, r4),
@@ -123,8 +137,8 @@ def compound_cluster_bounds(
     if ez3 < 0 or ez4 < 0:
         raise DomainError("progeny moments must be >= 0")
     ll = region.lam * region.leb
-    dw = m3 * ez3 / (m2 ** 1.5 * math.sqrt(ll))
-    q = m4 * ez4 / (ll * m2 ** 2)
+    dw = m3 * ez3 / _divisor(m2, 1.5, math.sqrt(ll))
+    q = m4 * ez4 / _divisor(m2, 2, ll)
     return GaussianBoundReport(
         dw_bound=dw,
         dk_bound=_dk_from(dw, q),
@@ -191,8 +205,8 @@ def interference_bounds(
         raise DomainError("all inputs must be finite (and moments >= 0)")
     if i3 < 0 or i4 < 0:
         raise DomainError("attenuation integrals must be >= 0")
-    dw = (power3 / power2 ** 1.5) * (i3 / i2 ** 1.5) / math.sqrt(lam)
-    q = (power4 / power2 ** 2) * (i4 / i2 ** 2) / lam
+    dw = (power3 / _divisor(power2, 1.5)) * (i3 / _divisor(i2, 1.5)) / math.sqrt(lam)
+    q = (power4 / _divisor(power2, 2)) * (i4 / _divisor(i2, 2)) / lam
     return GaussianBoundReport(
         dw_bound=dw,
         dk_bound=_dk_from(dw, q),

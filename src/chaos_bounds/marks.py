@@ -2,8 +2,8 @@
 
 A mark law enters every bound only through its absolute moments E|M|^m, so
 each family stores its parameters and answers ``abs_moment(m)`` in closed
-form.  The named families also know how to draw samples; a moments-only
-law cannot be sampled.
+form.  The named families also know their signed mean E M and how to draw
+samples; a moments-only law knows neither.
 """
 from __future__ import annotations
 
@@ -33,6 +33,10 @@ class ConstantMark:
         _check_order(m)
         return abs(self.value) ** m
 
+    @property
+    def mean(self) -> float:
+        return self.value
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         import numpy as np
 
@@ -55,6 +59,10 @@ class UniformMark:
     def abs_moment(self, m: int) -> float:
         _check_order(m)
         return self.upper ** m / (m + 1)
+
+    @property
+    def mean(self) -> float:
+        return self.upper / 2
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(0.0, self.upper, size)
@@ -102,6 +110,10 @@ class CenteredGaussianMark:
             * math.gamma((m + 1) / 2.0)
             / math.sqrt(math.pi)
         )
+
+    @property
+    def mean(self) -> float:
+        return 0.0
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)

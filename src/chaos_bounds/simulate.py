@@ -6,11 +6,12 @@ is Poisson(k h), and likewise Binomial(k h, p)), and interference fields are
 truncated at a radius chosen so the discarded far field has expectation below
 ``tail_eps``, which is then added back analytically.
 
-Determinism: every replication i of batch b draws from its own
-``default_rng([seed, b, i])`` stream (batch 0 is the main pass, batch 1 the
-standardization pass), and progeny draws are blocked into fixed chunks of
-4096 with per-chunk streams ``default_rng([seed, chunk])``.  Results are
-placed by index, so output is byte-identical for any worker count.
+Each verify command simulates one pass and standardizes it exactly
+(``_standardization``).  Determinism: replication i draws from its own
+``default_rng([seed, 0, i])`` stream, and progeny draws are blocked into
+fixed chunks of 4096 with per-chunk streams ``default_rng([seed, chunk])``.
+Results are placed by index, so output is byte-identical for any worker
+count.
 
 scipy is imported by the empirical distances when they first run, so the
 samplers and ``verify_moments`` never load it.
@@ -44,6 +45,7 @@ from .progeny import (
     FactorialMoments,
     OffspringLaw,
     PoissonMean,
+    factorial_moments,
     progeny_moment,
     progeny_moment_table,
 )
@@ -352,38 +354,62 @@ def _bounds_for_scenario(scenario) -> GaussianBoundReport:
         region = Region(scenario.lam, scenario.horizon)
         return cluster_bounds_for_law(region, scenario.offspring, scenario.mark)
     if isinstance(scenario, InterferenceModel):
-        p = scenario.power
-        return interference_bounds(
-            scenario.lam,
-            p.abs_moment(2),
-            p.abs_moment(3),
-            p.abs_moment(4),
-            hertzian_integral(scenario.radius, scenario.alpha, 2),
-            hertzian_integral(scenario.radius, scenario.alpha, 3),
-            hertzian_integral(scenario.radius, scenario.alpha, 4),
-        )
+        moments = [scenario.power.abs_moment(k) for k in (2, 3, 4)]
+        integrals = [hertzian_integral(scenario.radius, scenario.alpha, k) for k in (2, 3, 4)]
+        return interference_bounds(scenario.lam, *moments, *integrals)
     raise DomainError(f"unsupported scenario: {scenario!r}")
 
 
-def _simulate_batch(scenario, n: int, seed: int, batch: int, workers: int) -> np.ndarray:
-    if isinstance(scenario, ClusterModel):
-        draw = sample_cluster_window
+def _standardization(scenario) -> tuple[float, float]:
+    """Exact (mean, sd) of one simulated total.
+
+    Interference: Campbell's mean lam E[P] i1 and variance lam E[P^2] i2.
+    A cluster window is a first chaos of the immigrant cascades, with kernel
+    C_{T-s} for C_u a cascade's mark total within lag u: its mean and
+    variance are lam int_0^T E C_u du and lam int_0^T E C_u^2 du.  With
+    delays D ~ exponential(beta), psi_u(t) = E e^{t C_u} = m_M(t) G_P(phi_u)
+    for phi_u = E[psi_{u-D}; D <= u] + P(D > u), phi' = beta (psi - phi),
+    phi_0 = 1.  Put m = E P, g2 = E P(P-1), mu1 = E M (signed), mu2 = E M^2,
+    r = beta (1 - m), A = mu1 / (1 - m), x = e^{-r u}; expand
+    phi_u = 1 + b1 t + b2 t^2 / 2.  Order t: b1 = A (1 - x), E C_u = A (1 - m x).
+    Order t^2: E C_u^2 = q + m b2, q = mu2 + 2 mu1 m b1 + g2 b1^2
+    = c0 + c1 x + c2 x^2, b2' = beta q - r b2, b2(0) = 0.  With e1 = 1 - e^{-rT}
+    and e2 = 1 - e^{-2rT}: int E C_u = A (T - m e1 / r), int q = c0 T
+    + c1 e1 / r + c2 e2 / (2 r) and int b2 / beta = c0 (T - e1/r) / r
+    + (c1 (e1 - rT e^{-rT}) + c2 (e1 - e2/2)) / r^2.
+    """
+    if isinstance(scenario, InterferenceModel):
+        p, R, a = scenario.power, scenario.radius, scenario.alpha
+        mean = scenario.lam * p.abs_moment(1) * hertzian_integral(R, a, 1)
+        var = scenario.lam * p.abs_moment(2) * hertzian_integral(R, a, 2)
+    elif isinstance(scenario, ClusterModel):
+        T, beta = scenario.horizon, scenario.delay_rate
+        m, g2 = factorial_moments(scenario.offspring, 2)
+        mu1, mu2 = scenario.mark.mean, scenario.mark.abs_moment(2)
+        r, A = beta * (1.0 - m), mu1 / (1.0 - m)
+        e1, e2 = -math.expm1(-r * T), -math.expm1(-2.0 * r * T)
+        c0 = mu2 + 2.0 * mu1 * m * A + g2 * A * A
+        c1, c2 = -2.0 * mu1 * m * A - 2.0 * g2 * A * A, g2 * A * A
+        int_q = c0 * T + c1 * e1 / r + c2 * e2 / (2.0 * r)
+        x_T = math.exp(-r * T)
+        int_b2 = c0 * (T - e1 / r) / r + (c1 * (e1 - r * T * x_T) + c2 * (e1 - e2 / 2.0)) / (r * r)
+        mean = scenario.lam * A * (T - m * e1 / r)
+        var = scenario.lam * (int_q + m * beta * int_b2)
     else:
-        draw = sample_interference
+        raise DomainError(f"unsupported scenario: {scenario!r}")
+    if not (math.isfinite(mean) and 0.0 < var < math.inf):
+        raise DomainError(f"exact variance {var!r} of the total is not positive and finite")
+    return mean, math.sqrt(var)
+
+
+def _simulate_batch(scenario, n: int, seed: int, workers: int) -> np.ndarray:
+    draw = sample_cluster_window if isinstance(scenario, ClusterModel) else sample_interference
 
     def one(i: int) -> float:
-        return draw(scenario, np.random.default_rng([seed, batch, i]))
+        # the 0 once marked the main pass (calibration was 1); kept so no draw changes
+        return draw(scenario, np.random.default_rng([seed, 0, i]))
 
     return np.asarray(_run_indexed(one, n, workers), dtype=float)
-
-
-def _calibrate(scenario, n: int, seed: int, workers: int) -> tuple[float, float]:
-    """(mean, sd) of n batch-1 draws: the empirical standardization."""
-    calibration = _simulate_batch(scenario, n, seed, 1, workers)
-    sd = float(calibration.std(ddof=1))
-    if sd == 0.0:
-        raise DomainError("simulated distribution is degenerate (zero variance)")
-    return float(calibration.mean()), sd
 
 
 def verify_gaussian_bound(
@@ -392,28 +418,14 @@ def verify_gaussian_bound(
     """Simulate the scenario, standardize, and test the empirical Kolmogorov
     and Wasserstein distances to N(0,1) against the computed bounds.
 
-    Cluster scenarios standardize empirically from a separate pass of
-    10 * n_reps replications (batch 1); interference scenarios standardize
-    with the exact mean lam E[P] i1 and variance lam E[P^2] i2.  Passing
-    means dk_emp <= dk_bound + dkw_margin(n_reps, 0.001) and
-    dw_emp <= dw_bound + 0.05.
+    The total is standardized exactly (``_standardization``).  Passing means
+    dk_emp <= dk_bound + dkw_margin(n_reps, 0.001) and dw_emp <= dw_bound + 0.05.
     """
     if n_reps < 2:
         raise DomainError("n_reps must be >= 2")
     report = _bounds_for_scenario(scenario)
-    if isinstance(scenario, ClusterModel):
-        mu, sd = _calibrate(scenario, 10 * n_reps, seed, workers)
-        standardization = {"kind": "empirical", "n_calibration": 10 * n_reps}
-    else:
-        p = scenario.power
-        i1 = hertzian_integral(scenario.radius, scenario.alpha, 1)
-        i2 = hertzian_integral(scenario.radius, scenario.alpha, 2)
-        mu = scenario.lam * p.abs_moment(1) * i1
-        sd = math.sqrt(scenario.lam * p.abs_moment(2) * i2)
-        standardization = {"kind": "analytic"}
-    standardization.update(mean=mu, sd=sd)
-
-    main = _simulate_batch(scenario, n_reps, seed, 0, workers)
+    mu, sd = _standardization(scenario)
+    main = _simulate_batch(scenario, n_reps, seed, workers)
     z = (main - mu) / sd
     dk_emp = empirical_kolmogorov(z)
     dw_emp = empirical_wasserstein(z)
@@ -425,7 +437,7 @@ def verify_gaussian_bound(
         "bounds": report.to_dict(),
         "n_reps": n_reps,
         "seed": seed,
-        "standardization": standardization,
+        "standardization": {"kind": "analytic", "mean": mu, "sd": sd},
         "dk_emp": dk_emp,
         "dk_margin": dk_margin,
         "dk_ok": dk_ok,
@@ -453,7 +465,7 @@ def verify_bci(
     standardized total must not exceed bound + margin.  Structurally: the
     cumulant growth condition behind the bound must hold order by order up to
     m_max, from the exact mark and progeny moments of the scenario.  Both
-    must pass.  Standardization uses a same-size batch-1 pass.
+    must pass.  The total is standardized with its exact mean and sd.
     """
     if not isinstance(scenario, ClusterModel):
         raise DomainError("tail verification expects a ClusterModel scenario")
@@ -465,8 +477,8 @@ def verify_bci(
     if any(x < 0 for x in xs):
         raise DomainError("x_grid values must be >= 0")
 
-    mu, sd = _calibrate(scenario, n_reps, seed, workers)
-    main = _simulate_batch(scenario, n_reps, seed, 0, workers)
+    mu, sd = _standardization(scenario)
+    main = _simulate_batch(scenario, n_reps, seed, workers)
     z = (main - mu) / sd
 
     margin = dkw_margin(n_reps, 0.001)
@@ -498,7 +510,7 @@ def verify_bci(
         "n_reps": n_reps,
         "seed": seed,
         "dkw_margin": margin,
-        "standardization": {"kind": "empirical", "mean": mu, "sd": sd},
+        "standardization": {"kind": "analytic", "mean": mu, "sd": sd},
         "tails": tails,
         "tails_ok": tails_ok,
         "cumulant": cumulant.to_dict(),

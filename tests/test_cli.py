@@ -181,6 +181,35 @@ def test_moment_overflow_exit_2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # lam * leb underflows to 0
+    "bounds hawkes-poisson --lambda 1e-200 --leb 1e-200 --h 0.5",
+    # E M^2 = 1e-320, whose 3/2 power underflows to 0
+    "bounds compound-cluster --lambda 1 --leb 1e4 --ez3 1 --ez4 1 --mark const:1e-160",
+    "bounds interference --lambda 1 --R 1 --alpha 4 --power const:1e-160",
+    # lam * leb overflows, which used to print a bound of 0
+    "bounds hawkes-poisson --lambda 1e200 --leb 1e200 --h 0.5",
+])
+def test_normalizer_out_of_float_range_exit_2(argv):
+    code, out, err = run_main(*argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", [("--x-max", "inf"), ("--x-step", "1e-6")])
+def test_verify_bci_rejects_grid_before_simulating(grid, monkeypatch):
+    from chaos_bounds import simulate
+
+    def no_simulation(*args, **kw):
+        raise AssertionError("simulated before checking the x-grid")
+
+    monkeypatch.setattr(simulate, "_simulate_batch", no_simulation)
+    code, out, err = run_main("verify", "bci", "--h", "0.5", "--T", "10", "--reps", "10", *grid)
+    assert code == 2, err
+    assert out == "" and "error: " in err
+
+
 def test_verification_failure_exit_3_with_report():
     proc = run_cli(
         "verify", "bci",

@@ -23,6 +23,18 @@ def test_constant_moments():
     assert ConstantMark(0.0).abs_moment(2) == 0.0
 
 
+def test_signed_means():
+    # E M keeps its sign, where abs_moment(1) is E|M|
+    assert ConstantMark(-3.0).mean == -3.0
+    assert UniformMark(2.0).mean == 1.0
+    assert ExponentialMark(1.5).mean == 1.5
+    assert CenteredGaussianMark(0.7).mean == 0.0
+    assert CenteredGaussianMark(0.7).abs_moment(1) > 0.0
+    for mark in (ConstantMark(-3.0), UniformMark(2.0), CenteredGaussianMark(0.7)):
+        draws = mark.sample(np.random.default_rng(8), 40000)
+        assert abs(draws.mean() - mark.mean) <= 4.0 * draws.std() / math.sqrt(draws.size) + 1e-12
+
+
 def test_uniform_moments():
     m = UniformMark(2.0)
     # E M^k = upper^k / (k+1)

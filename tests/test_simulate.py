@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import solve_ivp
 
 from chaos_bounds import (
     Binomial,
@@ -32,11 +33,13 @@ from chaos_bounds import (
     sample_cluster_window,
     sample_interference,
     sample_progeny,
+    UniformMark,
     verify_bci,
     verify_gaussian_bound,
     verify_moments,
 )
-from chaos_bounds.simulate import samples_csv_text
+from chaos_bounds.progeny import factorial_moments
+from chaos_bounds.simulate import _standardization, samples_csv_text
 
 ZERO_OFFSPRING = FactorialMoments((0.0, 0.0, 0.0, 0.0))
 
@@ -285,6 +288,94 @@ def test_dkw_margin_frequency():
 
 
 # ---------------------------------------------------------------------------
+# exact window standardization
+
+
+def window_moments_ode(model):
+    """(mean, variance) of a window total from the t-expansion of
+    psi_u = m_M(t) G_P(phi_u), phi_u' = beta (psi_u - phi_u), solved
+    numerically: b1, b2 are phi_u's first two t-coefficients, and the mean
+    and variance are lam times the integrals of E C_u and E C_u^2."""
+    m, g2 = factorial_moments(model.offspring, 2)
+    mu1, mu2 = model.mark.mean, model.mark.abs_moment(2)
+    beta = model.delay_rate
+
+    def rhs(u, y):
+        b1, b2 = y[0], y[1]
+        ec = mu1 + m * b1
+        ec2 = mu2 + 2.0 * mu1 * m * b1 + m * b2 + g2 * b1 * b1
+        return [beta * (ec - b1), beta * (ec2 - b2), ec, ec2]
+
+    sol = solve_ivp(
+        rhs, (0.0, model.horizon), [0.0] * 4, method="DOP853", rtol=1e-12, atol=1e-12
+    )
+    return model.lam * sol.y[2, -1], model.lam * sol.y[3, -1]
+
+
+ODE_LAWS = {
+    "poisson": PoissonMean(0.5),
+    "binomial": Binomial(3, 0.2),
+    "compound-poisson": ZERO_OFFSPRING,
+}
+ODE_MARKS = {
+    "const": ConstantMark(1.0),
+    "const-negative": ConstantMark(-2.0),
+    "uniform": UniformMark(2.0),
+    "exp": ExponentialMark(1.5),
+    "gauss": CenteredGaussianMark(0.7),
+}
+
+
+@pytest.mark.parametrize("law", ODE_LAWS)
+@pytest.mark.parametrize("mark", ODE_MARKS)
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+@pytest.mark.parametrize("horizon", [0.1, 10.0, 1e4])
+def test_window_standardization_matches_ode(law, mark, beta, horizon):
+    model = ClusterModel(1.3, horizon, ODE_LAWS[law], mark=ODE_MARKS[mark], delay_rate=beta)
+    mean, sd = _standardization(model)
+    want_mean, want_var = window_moments_ode(model)
+    assert mean == pytest.approx(want_mean, rel=1e-9)  # both 0 for a gauss mark
+    assert sd * sd == pytest.approx(want_var, rel=1e-9)
+
+
+def test_window_standardization_closed_values():
+    # Poisson(0.5) offspring, T = 50: mean 98, variance 378 (up to e^{-25})
+    mean, sd = _standardization(ClusterModel(1.0, 50.0, PoissonMean(0.5)))
+    assert mean == pytest.approx(98.0, rel=1e-12)
+    assert sd * sd == pytest.approx(378.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("model, seed", [
+    (ClusterModel(2.0, 20.0, PoissonMean(0.5)), 101),
+    (ClusterModel(2.0, 20.0, Binomial(3, 0.2), mark=ExponentialMark(1.0), delay_rate=2.0), 102),
+    (ClusterModel(1.0, 10.0, PoissonMean(0.8), mark=CenteredGaussianMark(1.0), delay_rate=0.3), 103),
+])
+def test_window_standardization_matches_simulation(model, seed):
+    rng = np.random.default_rng(seed)
+    x = np.array([sample_cluster_window(model, rng) for _ in range(20000)])
+    mean, sd = _standardization(model)
+    var = x.var(ddof=1)
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
+    fourth = np.mean((x - x.mean()) ** 4)
+    assert abs(var - sd * sd) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
+
+
+@pytest.mark.parametrize("verify", ["gauss", "bci"])
+def test_verify_draws_main_pass_streams(verify):
+    # replication i draws from default_rng([seed, 0, i]), and the reported
+    # samples are those draws standardized with the exact mean and sd
+    model = ClusterModel(2.0, 10.0, PoissonMean(0.5))
+    if verify == "gauss":
+        report = verify_gaussian_bound(model, 30, seed=17, workers=2)
+    else:
+        report = verify_bci(model, 0.0, 5.0, [1.0], 30, seed=17, workers=2)
+    std = report.details["standardization"]
+    assert (std["mean"], std["sd"]) == _standardization(model)
+    want = [sample_cluster_window(model, np.random.default_rng([17, 0, i])) for i in range(30)]
+    np.testing.assert_allclose(report.samples * std["sd"] + std["mean"], want, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # verification drivers
 
 
@@ -324,8 +415,9 @@ def test_verify_gaussian_bound_compound_poisson():
     report = verify_gaussian_bound(model, 500, seed=5)
     assert report.passed
     d = report.details
-    assert d["standardization"]["kind"] == "empirical"
-    assert d["standardization"]["n_calibration"] == 5000
+    assert d["standardization"]["kind"] == "analytic"
+    assert d["standardization"]["mean"] == pytest.approx(1000.0, rel=1e-12)
+    assert d["standardization"]["sd"] == pytest.approx(math.sqrt(1000.0), rel=1e-12)
     assert len(report.samples) == 500
     assert d["dk_margin"] == dkw_margin(500, 0.001)
 
@@ -351,8 +443,14 @@ def test_verify_gaussian_bound_interference():
 
 
 def test_verify_gaussian_bound_degenerate_sd():
-    # an (almost surely) empty window has zero calibration variance
+    # an (almost surely) empty window still has exact variance lam T E M^2
     model = ClusterModel(1e-7, 1.0, ZERO_OFFSPRING)
+    report = verify_gaussian_bound(model, 10, seed=5)
+    assert report.details["standardization"]["sd"] == pytest.approx(math.sqrt(1e-7), rel=1e-12)
+    # a zero mark has exact variance 0, and nothing can be standardized
+    model = ClusterModel(1.0, 10.0, PoissonMean(0.5), mark=ConstantMark(0.0))
+    with pytest.raises(DomainError):
+        _standardization(model)
     with pytest.raises(DomainError):
         verify_gaussian_bound(model, 10, seed=5)
 
