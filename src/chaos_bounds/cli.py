@@ -31,7 +31,7 @@ from typing import Callable
 
 from .deviations import (
     bci_bound,
-    check_cumulant_condition,
+    cumulant_condition_for_law,
     delta_binomial,
     delta_poisson,
     insurance_tail_report,
@@ -47,8 +47,7 @@ from .gaussian_bounds import (
     cluster_bounds_for_law,
     compound_cluster_bounds,
     first_chaos_bounds,
-    hertzian_integral,
-    interference_bounds,
+    interference_bounds_for_power,
     shotnoise_bounds,
 )
 from .marks import (
@@ -57,7 +56,6 @@ from .marks import (
     CustomAbsMoments,
     ExponentialMark,
     UniformMark,
-    mark_abs_moments,
 )
 from .progeny import (
     Binomial,
@@ -162,13 +160,6 @@ def parse_offspring(text: str):
     )
 
 
-def _json_default(obj):
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns its report, a dict or an object with to_dict().  A
 # VerificationReport's verdict sets the exit code, and its samples are what
@@ -202,10 +193,7 @@ def _cmd_bounds_hawkes(args):
 
 
 def _cmd_bounds_interference(args):
-    power = parse_mark(args.power)
-    moments = [power.abs_moment(k) for k in (2, 3, 4)]
-    integrals = [hertzian_integral(args.R, args.alpha, k) for k in (2, 3, 4)]
-    return interference_bounds(args.lam, *moments, *integrals)
+    return interference_bounds_for_power(args.lam, args.R, args.alpha, parse_mark(args.power))
 
 
 def _cmd_delta_poisson(args):
@@ -244,14 +232,8 @@ def _cmd_tail_cumulant(args):
     gamma = args.gamma
     if gamma is None:  # no static default: the mark law's own gamma
         gamma = mark_gamma(mark)
-    report = check_cumulant_condition(
-        mark_abs_moments(mark, args.m_max),
-        progeny_moment_table(parse_offspring(args.offspring), args.m_max),
-        args.lambda_leb,
-        gamma,
-        args.delta,
-        args.m_max,
-    )
+    law = parse_offspring(args.offspring)
+    report = cumulant_condition_for_law(mark, law, args.lambda_leb, gamma, args.delta, args.m_max)
     return dict(report.to_dict(), gamma=gamma, delta=args.delta)
 
 
@@ -598,7 +580,7 @@ def _emit(args, report) -> int:
         text = _samples_csv(report)
     else:
         payload = report if isinstance(report, dict) else report.to_dict()
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if args.output:
         _write(args, args.output, text)
@@ -625,6 +607,9 @@ def main(argv=None) -> int:
         return _emit(args, args.handler(args))
     except ChaosBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:  # Python float arithmetic raises where numpy returns inf
+        print("error: a value leaves float range", file=sys.stderr)
         return 2
 
 

@@ -33,8 +33,9 @@ from .marks import (
     ExponentialMark,
     MarkLaw,
     UniformMark,
+    mark_abs_moments,
 )
-from .progeny import Binomial, PoissonMean
+from .progeny import Binomial, OffspringLaw, PoissonMean, progeny_moment_table
 
 _INV_E = math.exp(-1.0)
 
@@ -76,8 +77,7 @@ def verify_mark_gamma(
     pass.  Comparisons run in log space with a 1e-12 slack so exact-equality
     families (constant marks) are not tripped by rounding.
     """
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
+    _check_gamma(gamma)
     if m_max < 3:
         raise DomainError("m_max must be >= 3")
     if len(abs_moments) < m_max:
@@ -100,6 +100,11 @@ def verify_mark_gamma(
     return True, None
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (gamma >= 0):  # NaN fails too
+        raise DomainError("gamma must be >= 0")
+
+
 def _check_lambda_leb(lambda_leb: float) -> float:
     if not (lambda_leb > 0 and math.isfinite(lambda_leb)):
         raise DomainError("lambda_leb must be positive and finite")
@@ -114,6 +119,7 @@ def delta_poisson(h: float, lambda_leb: float, gamma: float = 0.0) -> DeviationP
     (case "(i)"), else delta = h nu^3 sqrt(lambda_leb) (case "(ii)").
     """
     PoissonMean(h)  # domain + subcriticality checks
+    _check_gamma(gamma)
     root = math.sqrt(_check_lambda_leb(lambda_leb))
     nu = h - 1.0 - math.log(h)
     if nu >= 1.0:
@@ -132,6 +138,7 @@ def delta_binomial(
     "(ii)1" / "(ii)2").  Boundary values take the first branch.
     """
     Binomial(h, p)  # domain + subcriticality checks
+    _check_gamma(gamma)
     root = math.sqrt(_check_lambda_leb(lambda_leb))
     if h == 1:
         scale = p / (1.05 * (1.0 - p))
@@ -154,11 +161,10 @@ def bci_bound(gamma: float, delta: float, x: float) -> float:
     Valid for any standardized functional whose cumulants satisfy the
     (gamma, delta) growth condition; values above 1 are reported as-is.
     """
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
+    _check_gamma(gamma)
     if not (delta > 0 and math.isfinite(delta)):
         raise DomainError("delta must be positive and finite")
-    if x < 0:
+    if not (x >= 0):
         raise DomainError("x must be >= 0")
     quad = x * x / 2.0 ** (1.0 + gamma)
     frac = (x * delta) ** (1.0 / (1.0 + gamma))
@@ -214,8 +220,7 @@ def check_cumulant_condition(
     if len(marks) < 2 or not marks[1] > 0:
         raise DomainError("E M^2 must be present and > 0")
     _check_lambda_leb(lambda_leb)
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
+    _check_gamma(gamma)
     if not (delta > 0 and math.isfinite(delta)):
         raise DomainError("delta must be positive and finite")
 
@@ -227,7 +232,7 @@ def check_cumulant_condition(
     for m in range(3, m_max + 1):
         em = marks[m - 1]
         ez = prog[m - 1]
-        if em < 0 or ez < 0:
+        if not (em >= 0 and ez >= 0):
             raise DomainError(f"order-{m} moments must be >= 0")
         log_rhs = (1.0 + gamma) * math.lgamma(m + 1) - (m - 2) * log_delta
         if em == 0.0 or ez == 0.0:
@@ -259,11 +264,19 @@ def check_cumulant_condition(
     )
 
 
+def cumulant_condition_for_law(
+    mark: MarkLaw, law: OffspringLaw, lambda_leb: float, gamma: float, delta: float, m_max: int
+) -> CumulantConditionReport:
+    """``check_cumulant_condition`` from the exact moments of a mark law and
+    an offspring law, up to order m_max."""
+    marks, prog = mark_abs_moments(mark, m_max), progeny_moment_table(law, m_max)
+    return check_cumulant_condition(marks, prog, lambda_leb, gamma, delta, m_max)
+
+
 def nacc_window(gamma: float, delta: float, c0: float) -> tuple[float, float]:
     """Interval [0, c0 delta^(1/(1+2 gamma))] on which the normal approximation
     of the tail is accurate to a constant factor."""
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
+    _check_gamma(gamma)
     if not (delta > 0 and math.isfinite(delta)):
         raise DomainError("delta must be positive and finite")
     if not (c0 > 0 and math.isfinite(c0)):
@@ -387,7 +400,7 @@ def total_loss_interval(
     not clamped.
     """
     nu = _insurance_checks(lam, h, mu_mean, T)
-    if x < 0:
+    if not (x >= 0):
         raise DomainError("x must be >= 0")
     regime_ok = nu >= 1.0
     if strict and not regime_ok:

@@ -96,7 +96,7 @@ def _dk_from(dw: float, m4: float) -> float:
 def first_chaos_bounds(m3: float, m4: float) -> GaussianBoundReport:
     """Bounds for a normalized first chaos with kernel moments m3 = int |f|^3,
     m4 = int f^4 (and int f^2 = 1)."""
-    if m3 < 0 or m4 < 0:
+    if not (m3 >= 0 and m4 >= 0):
         raise DomainError("kernel moments must be >= 0")
     return GaussianBoundReport(
         dw_bound=m3,
@@ -221,3 +221,13 @@ def interference_bounds(
             "i4": i4,
         },
     )
+
+
+def interference_bounds_for_power(
+    lam: float, R: float, alpha: float, power: MarkLaw
+) -> GaussianBoundReport:
+    """Interference bounds for a power law: its moments E P^2..E P^4 and the
+    matching ``hertzian_integral``s fed to ``interference_bounds``."""
+    moments = [power.abs_moment(k) for k in (2, 3, 4)]
+    integrals = [hertzian_integral(R, alpha, k) for k in (2, 3, 4)]
+    return interference_bounds(lam, *moments, *integrals)

@@ -1,10 +1,10 @@
 """Exact Monte Carlo samplers and empirical verification of the bounds.
 
-Samplers are exact (no discretization): cluster windows are grown generation
-by generation with the collapsed-count trick (a sum of k iid Poisson(h) counts
-is Poisson(k h), and likewise Binomial(k h, p)), and interference fields are
-truncated at a radius chosen so the discarded far field has expectation below
-``tail_eps``, which is then added back analytically.
+Cluster windows and progeny cascades are exact: both grow one generation at
+a time through ``_next_generation``.  Interference fields are truncated at a
+radius whose discarded far field has mean at most ``tail_eps``; that mean is
+added back, so the total's mean is exact but its variance is not
+(``InterferenceModel``).
 
 Each verify command simulates one pass and standardizes it exactly
 (``_standardization``).  Determinism: replication i draws from its own
@@ -24,22 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deviations import bci_bound, check_cumulant_condition
+from .deviations import bci_bound, cumulant_condition_for_law
 from .errors import CapExceeded, DivergentModel, DomainError
 from .gaussian_bounds import (
     GaussianBoundReport,
     Region,
     cluster_bounds_for_law,
     hertzian_integral,
-    interference_bounds,
+    interference_bounds_for_power,
 )
-from .marks import (
-    ConstantMark,
-    CenteredGaussianMark,
-    CustomAbsMoments,
-    MarkLaw,
-    mark_abs_moments,
-)
+from .marks import ConstantMark, CenteredGaussianMark, CustomAbsMoments, MarkLaw
 from .progeny import (
     Binomial,
     FactorialMoments,
@@ -47,7 +41,6 @@ from .progeny import (
     PoissonMean,
     factorial_moments,
     progeny_moment,
-    progeny_moment_table,
 )
 
 _PROGENY_CHUNK = 4096
@@ -104,10 +97,12 @@ class InterferenceModel:
     of intensity lam on R^2, each emits an iid power, and the received signal
     decays like max{radius, distance}^(-alpha).
 
-    Simulation truncates the plane at ``truncation_radius``, chosen so the
-    expected discarded far-field contribution is at most tail_eps; that mean
-    (``farfield_mean``) is added back, so sampled totals are unbiased for any
-    tail_eps.
+    Simulation truncates the plane at ``truncation_radius`` rho, chosen so
+    the expected discarded far-field contribution is at most tail_eps, and
+    adds back that mean (``farfield_mean``).  Sampled totals are therefore
+    exact in mean only: the far field's fluctuation is dropped, so their
+    variance falls short of the exact one by 2 pi lam E P^2 rho^(2 - 2 alpha)
+    / (2 alpha - 2), which shrinks as tail_eps does.
     """
 
     lam: float
@@ -163,12 +158,17 @@ class InterferenceModel:
 # samplers
 
 
-def _offspring_counts(law: OffspringLaw, rng, size: int) -> np.ndarray:
+def _next_generation(law: OffspringLaw, rng, parents: np.ndarray) -> np.ndarray:
+    """The children of one generation: each parent draws its own offspring
+    count, and each child carries its parent's entry (a birth time, or a
+    cascade label), so the result is np.repeat(parents, counts)."""
     if isinstance(law, PoissonMean):
-        return rng.poisson(law.h, size)
+        return np.repeat(parents, rng.poisson(law.h, parents.size))
     if isinstance(law, Binomial):
-        return rng.binomial(law.h, law.p, size)
-    return np.zeros(size, dtype=np.int64)  # all-zero FactorialMoments
+        return np.repeat(parents, rng.binomial(law.h, law.p, parents.size))
+    if any(v != 0 for v in law.values):
+        raise DomainError("a bare factorial-moment sequence has no sampler")
+    return parents[:0]  # the all-zero FactorialMoments law: no children, no draws
 
 
 def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
@@ -177,30 +177,16 @@ def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
 
 
 def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int) -> np.ndarray:
-    """Total-progeny counts of ``size`` cascades, grown in lockstep.
-
-    Generations are collapsed: k alive individuals produce Poisson(k h)
-    (resp. Binomial(k h, p)) children in one draw.
-    """
-    if isinstance(law, FactorialMoments):
-        if any(v != 0 for v in law.values):
-            raise DomainError("a bare factorial-moment sequence has no sampler")
-        return np.ones(size, dtype=np.int64)
+    """Total-progeny counts of ``size`` cascades.  Every individual carries
+    its cascade's label, so each generation adds its label counts."""
     total = np.ones(size, dtype=np.int64)
-    alive = np.ones(size, dtype=np.int64)
-    while True:
-        live = alive > 0
-        if not live.any():
-            return total
-        kids = np.zeros(size, dtype=np.int64)
-        if isinstance(law, PoissonMean):
-            kids[live] = rng.poisson(alive[live] * law.h)
-        else:
-            kids[live] = rng.binomial(alive[live] * law.h, law.p)
-        total += kids
-        alive = kids
+    labels = np.arange(size)
+    while labels.size:
+        labels = _next_generation(law, rng, labels)
+        total += np.bincount(labels, minlength=size)
         if int(total.max()) > cap:
             raise CapExceeded(f"total progeny exceeded cap {cap}")
+    return total
 
 
 def sample_cluster_window(model: ClusterModel, rng) -> float:
@@ -216,13 +202,8 @@ def sample_cluster_window(model: ClusterModel, rng) -> float:
     cur = rng.uniform(0.0, T, n0)
     total = n0
     while cur.size:
-        counts = _offspring_counts(model.offspring, rng, cur.size)
-        n_children = int(counts.sum())
-        if n_children == 0:
-            break
-        child = np.repeat(cur, counts) + rng.exponential(
-            1.0 / model.delay_rate, n_children
-        )
+        child = _next_generation(model.offspring, rng, cur)
+        child = child + rng.exponential(1.0 / model.delay_rate, child.size)
         cur = child[child <= T]
         total += cur.size
         if total > model.progeny_cap:
@@ -251,11 +232,8 @@ def sample_interference(model: InterferenceModel, rng) -> float:
 # empirical distances
 
 
-def _standardized_sorted(samples, standardization) -> np.ndarray:
-    mu, sd = standardization
-    if not (sd > 0 and math.isfinite(sd)):
-        raise DomainError("standardization sd must be positive and finite")
-    z = (np.asarray(samples, dtype=float) - mu) / sd
+def _sorted_finite(samples) -> np.ndarray:
+    z = np.asarray(samples, dtype=float)
     if z.size == 0:
         raise DomainError("need at least one sample")
     if not np.all(np.isfinite(z)):
@@ -263,12 +241,12 @@ def _standardized_sorted(samples, standardization) -> np.ndarray:
     return np.sort(z)
 
 
-def empirical_kolmogorov(samples, standardization=(0.0, 1.0)) -> float:
-    """sup_t |F_n(t) - Phi(t)| for the standardized samples, evaluated exactly
-    at the jump points."""
+def empirical_kolmogorov(samples) -> float:
+    """sup_t |F_n(t) - Phi(t)| for already standardized samples, evaluated
+    exactly at the jump points."""
     from scipy.special import ndtr
 
-    z = _standardized_sorted(samples, standardization)
+    z = _sorted_finite(samples)
     n = z.size
     cdf = ndtr(z)
     above = np.arange(1, n + 1) / n - cdf
@@ -283,8 +261,9 @@ def _phi_antiderivative(t: np.ndarray) -> np.ndarray:
     return t * ndtr(t) + np.exp(-0.5 * t * t) / _SQRT_TWO_PI
 
 
-def empirical_wasserstein(samples, standardization=(0.0, 1.0)) -> float:
-    """int |F_n(t) - Phi(t)| dt for the standardized samples, in closed form.
+def empirical_wasserstein(samples) -> float:
+    """int |F_n(t) - Phi(t)| dt for already standardized samples, in closed
+    form.
 
     Between consecutive order statistics F_n is the constant c = i/n, and
     |c - Phi| integrates exactly once Phi's antiderivative and the crossing
@@ -293,7 +272,7 @@ def empirical_wasserstein(samples, standardization=(0.0, 1.0)) -> float:
     """
     from scipy.special import ndtri
 
-    z = _standardized_sorted(samples, standardization)
+    z = _sorted_finite(samples)
     n = z.size
     total = float(_phi_antiderivative(z[0]) + (_phi_antiderivative(z[-1]) - z[-1]))
     if n > 1:
@@ -354,9 +333,9 @@ def _bounds_for_scenario(scenario) -> GaussianBoundReport:
         region = Region(scenario.lam, scenario.horizon)
         return cluster_bounds_for_law(region, scenario.offspring, scenario.mark)
     if isinstance(scenario, InterferenceModel):
-        moments = [scenario.power.abs_moment(k) for k in (2, 3, 4)]
-        integrals = [hertzian_integral(scenario.radius, scenario.alpha, k) for k in (2, 3, 4)]
-        return interference_bounds(scenario.lam, *moments, *integrals)
+        return interference_bounds_for_power(
+            scenario.lam, scenario.radius, scenario.alpha, scenario.power
+        )
     raise DomainError(f"unsupported scenario: {scenario!r}")
 
 
@@ -402,14 +381,19 @@ def _standardization(scenario) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _simulate_batch(scenario, n: int, seed: int, workers: int) -> np.ndarray:
+def _simulate_batch(scenario, n: int, seed: int, workers: int) -> tuple[np.ndarray, dict]:
+    """n exactly standardized totals, and the standardization a report echoes."""
+    if n < 2:
+        raise DomainError("n_reps must be >= 2")
+    mu, sd = _standardization(scenario)
     draw = sample_cluster_window if isinstance(scenario, ClusterModel) else sample_interference
 
     def one(i: int) -> float:
         # the 0 once marked the main pass (calibration was 1); kept so no draw changes
         return draw(scenario, np.random.default_rng([seed, 0, i]))
 
-    return np.asarray(_run_indexed(one, n, workers), dtype=float)
+    raw = np.asarray(_run_indexed(one, n, workers), dtype=float)
+    return (raw - mu) / sd, {"kind": "analytic", "mean": mu, "sd": sd}
 
 
 def verify_gaussian_bound(
@@ -421,12 +405,8 @@ def verify_gaussian_bound(
     The total is standardized exactly (``_standardization``).  Passing means
     dk_emp <= dk_bound + dkw_margin(n_reps, 0.001) and dw_emp <= dw_bound + 0.05.
     """
-    if n_reps < 2:
-        raise DomainError("n_reps must be >= 2")
     report = _bounds_for_scenario(scenario)
-    mu, sd = _standardization(scenario)
-    main = _simulate_batch(scenario, n_reps, seed, workers)
-    z = (main - mu) / sd
+    z, standardization = _simulate_batch(scenario, n_reps, seed, workers)
     dk_emp = empirical_kolmogorov(z)
     dw_emp = empirical_wasserstein(z)
     dk_margin = dkw_margin(n_reps, 0.001)
@@ -437,7 +417,7 @@ def verify_gaussian_bound(
         "bounds": report.to_dict(),
         "n_reps": n_reps,
         "seed": seed,
-        "standardization": {"kind": "analytic", "mean": mu, "sd": sd},
+        "standardization": standardization,
         "dk_emp": dk_emp,
         "dk_margin": dk_margin,
         "dk_ok": dk_ok,
@@ -469,17 +449,13 @@ def verify_bci(
     """
     if not isinstance(scenario, ClusterModel):
         raise DomainError("tail verification expects a ClusterModel scenario")
-    if n_reps < 2:
-        raise DomainError("n_reps must be >= 2")
     xs = [float(x) for x in x_grid]
     if not xs:
         raise DomainError("x_grid must be nonempty")
-    if any(x < 0 for x in xs):
+    if any(not (x >= 0) for x in xs):
         raise DomainError("x_grid values must be >= 0")
 
-    mu, sd = _standardization(scenario)
-    main = _simulate_batch(scenario, n_reps, seed, workers)
-    z = (main - mu) / sd
+    z, standardization = _simulate_batch(scenario, n_reps, seed, workers)
 
     margin = dkw_margin(n_reps, 0.001)
     abs_z = np.abs(z)
@@ -495,13 +471,8 @@ def verify_bci(
             {"x": x, "bound": bound, "empirical": emp, "checked": checked, "ok": ok}
         )
 
-    cumulant = check_cumulant_condition(
-        mark_abs_moments(scenario.mark, m_max),
-        progeny_moment_table(scenario.offspring, m_max),
-        scenario.lam * scenario.horizon,
-        gamma,
-        delta,
-        m_max,
+    cumulant = cumulant_condition_for_law(
+        scenario.mark, scenario.offspring, scenario.lam * scenario.horizon, gamma, delta, m_max
     )
     passed = tails_ok and cumulant.all_pass
     details = {
@@ -510,7 +481,7 @@ def verify_bci(
         "n_reps": n_reps,
         "seed": seed,
         "dkw_margin": margin,
-        "standardization": {"kind": "analytic", "mean": mu, "sd": sd},
+        "standardization": standardization,
         "tails": tails,
         "tails_ok": tails_ok,
         "cumulant": cumulant.to_dict(),

@@ -197,6 +197,43 @@ def test_normalizer_out_of_float_range_exit_2(argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    # E M^4 = 1e400
+    "bounds compound-cluster --lambda 1 --leb 1e4 --ez3 1 --ez4 1 --mark const:1e100",
+    "bounds hawkes-poisson --lambda 1 --leb 1e4 --h 0.5 --mark gauss:1e100",
+    "bounds interference --lambda 1 --R 1 --alpha 4 --power uniform:1e100",
+    # E M^m = m! grows past float range as an int
+    "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 1 --mark exp:1 --m-max 200",
+    "tail insurance --lambda 1 --h 0.5 --mu 1 --T 64 --k 1e200",
+    "tail interval --lambda 1 --h 0.5 --mu 1e200 --T 1e4 --x 4",
+    "moments abel --nu 1e-5 --m 200",
+    "verify gauss --scenario compound-poisson --lambda-leb 100 --mark const:1e200 --reps 10",
+])
+def test_float_overflow_exit_2(argv):
+    code, out, err = run_main(*argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: a value leaves float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds first-chaos --m3 nan --m4 1",
+    "bounds first-chaos --m3 1 --m4 nan",
+    "tail bci --gamma nan --delta 1 --x 1",
+    "tail bci --gamma 0 --delta 1 --x nan",
+    "tail nacc --gamma nan --delta 64",
+    "tail interval --lambda 1 --h 0.5 --mu 1 --T 1e4 --x nan",
+    "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --gamma nan",
+    "delta poisson --h 0.5 --lambda-leb 1e4 --gamma nan",
+    "delta binomial --h 2 --p 0.25 --lambda-leb 1e4 --gamma nan",
+])
+def test_nan_input_exit_2(argv):
+    code, out, err = run_main(*argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("must be >= 0\n")
+
+
 @pytest.mark.parametrize("grid", [("--x-max", "inf"), ("--x-step", "1e-6")])
 def test_verify_bci_rejects_grid_before_simulating(grid, monkeypatch):
     from chaos_bounds import simulate

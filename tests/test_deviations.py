@@ -1,9 +1,12 @@
 """Unit tests for concentration parameters, tail bounds, and the insurance
 corollaries.  Branch goldens were recomputed independently before freezing."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaos_bounds import (
     CenteredGaussianMark,
@@ -74,6 +77,8 @@ def test_verify_mark_gamma_gaussian():
 def test_verify_mark_gamma_validation():
     with pytest.raises(DomainError):
         verify_mark_gamma([1.0, 1.0, 1.0], -0.5, 3)
+    with pytest.raises(DomainError):
+        verify_mark_gamma([1.0, 1.0, 1.0], math.nan, 3)
     with pytest.raises(DomainError):
         verify_mark_gamma([1.0, 1.0], 0.0, 2)
     with pytest.raises(InsufficientMoments):
@@ -355,3 +360,62 @@ def test_reports_serialize():
     assert "prob_lower_bound" in d and "half_width" in d
     d = check_cumulant_condition([1.0] * 4, [1.0] * 4, 100.0, 0.0, 1.0, 4).to_dict()
     assert d["m_checked"] == [3, 4]
+
+
+# ---------------------------------------------------------------------------
+# invariances the docstrings promise
+
+rates = st.floats(1e-3, 1e3)
+branching = st.floats(0.01, 0.99)
+horizons = st.floats(1e-2, 1e4)
+mark_means = st.floats(1e-3, 1e3)
+gammas = st.floats(0.0, 3.0)
+deltas = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=rates, h=branching, T=horizons, k=st.floats(1.01, 100.0), mu=mark_means, mu2=mark_means)
+def test_insurance_report_ignores_mark_scale(lam, h, T, k, mu, mu2):
+    # mu_mean cancels from the standardized deviation: only the echo differs
+    a = insurance_tail_report(lam, h, mu, T, k)
+    b = insurance_tail_report(lam, h, mu2, T, k)
+    assert b.inputs == dict(a.inputs, mu_mean=mu2)
+    assert dataclasses.replace(b, inputs=a.inputs) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=rates, h=branching, T=horizons, x=st.floats(0.0, 20.0), mu=mark_means, c=mark_means)
+def test_total_loss_interval_scales_with_mark_mean(lam, h, T, x, mu, c):
+    a = total_loss_interval(lam, h, mu, T, x)
+    b = total_loss_interval(lam, h, c * mu, T, x)
+    assert b.center == pytest.approx(c * a.center, rel=1e-12)
+    assert b.half_width == pytest.approx(c * a.half_width, rel=1e-12)
+    # lower = center - half_width can cancel, so its rounding is relative to
+    # the two terms, not to the difference
+    scale = 1e-12 * c * (a.center + a.half_width)
+    assert abs(b.lower - c * a.lower) <= scale
+    assert abs(b.upper - c * a.upper) <= scale
+    assert b.prob_lower_bound == a.prob_lower_bound
+    assert b.vacuous == a.vacuous
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=gammas, delta=deltas, x=st.floats(0.0, 1e3), x2=st.floats(0.0, 1e3))
+def test_bci_bound_non_increasing_in_x(gamma, delta, x, x2):
+    lo, hi = sorted((x, x2))
+    assert bci_bound(gamma, delta, hi) <= bci_bound(gamma, delta, lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=gammas, delta=deltas, delta2=deltas, x=st.floats(0.0, 1e3))
+def test_bci_bound_non_increasing_in_delta(gamma, delta, delta2, x):
+    lo, hi = sorted((delta, delta2))
+    assert bci_bound(gamma, hi, x) <= bci_bound(gamma, lo, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=gammas, delta=deltas, c0=st.floats(1e-3, 1e3))
+def test_nacc_window_proportional_to_c0(gamma, delta, c0):
+    lo, hi = nacc_window(gamma, delta, c0)
+    assert lo == 0.0
+    assert hi == pytest.approx(c0 * nacc_window(gamma, delta, 1.0)[1], rel=1e-12)

@@ -228,18 +228,6 @@ def test_distances_permutation_invariant():
     assert empirical_kolmogorov(x) == empirical_kolmogorov(y)
 
 
-def test_distances_standardization():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal(400)
-    shifted = 5.0 + 2.0 * x
-    assert np.isclose(
-        empirical_wasserstein(shifted, (5.0, 2.0)), empirical_wasserstein(x), rtol=1e-12
-    )
-    assert np.isclose(
-        empirical_kolmogorov(shifted, (5.0, 2.0)), empirical_kolmogorov(x), rtol=1e-12
-    )
-
-
 def test_large_normal_sample_is_close():
     rng = np.random.default_rng(314159)
     x = rng.standard_normal(10000)
@@ -250,8 +238,6 @@ def test_large_normal_sample_is_close():
 def test_distance_validation():
     with pytest.raises(DomainError):
         empirical_kolmogorov([])
-    with pytest.raises(DomainError):
-        empirical_wasserstein([1.0], (0.0, 0.0))
     with pytest.raises(DomainError):
         empirical_kolmogorov([math.nan])
 
@@ -493,6 +479,8 @@ def test_verify_bci_validation():
         verify_bci(model, 0.0, 1.0, [], 100, seed=0)
     with pytest.raises(DomainError):
         verify_bci(model, 0.0, 1.0, [-1.0], 100, seed=0)
+    with pytest.raises(DomainError):
+        verify_bci(model, 0.0, 1.0, [math.nan], 100, seed=0)
     with pytest.raises(DomainError):
         verify_bci(InterferenceModel(1.0, 1.0, 4.0), 0.0, 1.0, [1.0], 100, seed=0)
 
