@@ -6,12 +6,14 @@ radius whose discarded far field has mean at most ``tail_eps``; that mean is
 added back, so the total's mean is exact but its variance is not
 (``InterferenceModel``).
 
-Each verify command simulates one pass and standardizes it exactly
-(``_standardization``).  Determinism: replication i draws from its own
-``default_rng([seed, 0, i])`` stream, and progeny draws are blocked into
-fixed chunks of 4096 with per-chunk streams ``default_rng([seed, chunk])``.
-Results are placed by index, so output is byte-identical for any worker
-count.
+Each verify command simulates one pass through one driver, ``_replicate``,
+and the Gaussian and tail checks standardize it exactly
+(``_standardization``).  The driver draws replications in chunks whose size
+depends on the scenario alone (``_chunk_size``).  Inside a chunk
+every point carries its replication's label and one ``np.bincount`` gives
+the totals.  Determinism: chunk c draws from its own
+``default_rng([seed, c])`` stream and chunks are placed by index, so output
+is byte-identical for any worker count.
 
 scipy is imported by the empirical distances when they first run, so the
 samplers and ``verify_moments`` never load it.
@@ -19,6 +21,7 @@ samplers and ``verify_moments`` never load it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,7 +46,8 @@ from .progeny import (
     progeny_moment,
 )
 
-_PROGENY_CHUNK = 4096
+_CHUNK_REPS = 4096
+_CHUNK_POINTS = 2 ** 15
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
@@ -158,17 +162,20 @@ class InterferenceModel:
 # samplers
 
 
-def _next_generation(law: OffspringLaw, rng, parents: np.ndarray) -> np.ndarray:
-    """The children of one generation: each parent draws its own offspring
-    count, and each child carries its parent's entry (a birth time, or a
-    cascade label), so the result is np.repeat(parents, counts)."""
+def _next_generation(law: OffspringLaw, rng, n: int) -> np.ndarray:
+    """The parent index of every child of a generation of n individuals, so
+    each child carries its parent's entry (a birth time, or a label).
+
+    Poisson offspring are split: Poisson(n h) children in all, each given a
+    uniform parent, which is exactly n independent Poisson(h) counts.
+    Binomial offspring draw one count per parent."""
     if isinstance(law, PoissonMean):
-        return np.repeat(parents, rng.poisson(law.h, parents.size))
+        return rng.integers(0, n, rng.poisson(law.h * n))
     if isinstance(law, Binomial):
-        return np.repeat(parents, rng.binomial(law.h, law.p, parents.size))
+        return np.repeat(np.arange(n), rng.binomial(law.h, law.p, n))
     if any(v != 0 for v in law.values):
         raise DomainError("a bare factorial-moment sequence has no sampler")
-    return parents[:0]  # the all-zero FactorialMoments law: no children, no draws
+    return np.arange(0)  # the all-zero FactorialMoments law: no children, no draws
 
 
 def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
@@ -176,13 +183,13 @@ def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
     return int(_sample_progeny_block(law, rng, 1, cap)[0])
 
 
-def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int) -> np.ndarray:
+def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int = 10 ** 7) -> np.ndarray:
     """Total-progeny counts of ``size`` cascades.  Every individual carries
     its cascade's label, so each generation adds its label counts."""
     total = np.ones(size, dtype=np.int64)
     labels = np.arange(size)
     while labels.size:
-        labels = _next_generation(law, rng, labels)
+        labels = labels[_next_generation(law, rng, labels.size)]
         total += np.bincount(labels, minlength=size)
         if int(total.max()) > cap:
             raise CapExceeded(f"total progeny exceeded cap {cap}")
@@ -190,42 +197,67 @@ def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int) -> np.nda
 
 
 def sample_cluster_window(model: ClusterModel, rng) -> float:
-    """Draw one mark total over the window.  Draw order is fixed: immigrant
-    count, immigrant times, then per generation (counts, delays), then all
-    marks in one block."""
-    T = model.horizon
-    n0 = int(rng.poisson(model.lam * T))
-    if n0 > model.progeny_cap:
-        raise CapExceeded(
-            f"window population exceeded progeny_cap {model.progeny_cap}"
-        )
-    cur = rng.uniform(0.0, T, n0)
-    total = n0
-    while cur.size:
-        child = _next_generation(model.offspring, rng, cur)
-        child = child + rng.exponential(1.0 / model.delay_rate, child.size)
-        cur = child[child <= T]
-        total += cur.size
-        if total > model.progeny_cap:
-            raise CapExceeded(
-                f"window population exceeded progeny_cap {model.progeny_cap}"
-            )
-    marks = model.mark.sample(rng, total)
-    return float(np.sum(marks))
+    """Draw one mark total over the window (``_sample_windows`` of size 1)."""
+    return float(_sample_windows(model, rng, 1)[0])
+
+
+def _sample_windows(model: ClusterModel, rng, size: int) -> np.ndarray:
+    """Mark totals of ``size`` independent windows.  Every point carries its
+    window's label.  Draw order is fixed: immigrant counts, immigrant times,
+    then per generation (parents, delays), then all marks in one block.
+
+    ``progeny_cap`` bounds each window's population, not the chunk's; the
+    per-window counts are kept only once the chunk's total passes the cap.
+    """
+    T, cap = model.horizon, model.progeny_cap
+    n0 = rng.poisson(model.lam * T, size)
+    if int(n0.max()) > cap:
+        raise CapExceeded(f"window population exceeded progeny_cap {cap}")
+    labels = np.repeat(np.arange(size), n0)
+    times = rng.uniform(0.0, T, labels.size)
+    kept = [labels]
+    total, counted, counts = labels.size, 0, np.zeros(size, dtype=np.int64)
+    while times.size:
+        parent = _next_generation(model.offspring, rng, times.size)
+        times = times[parent] + rng.exponential(1.0 / model.delay_rate, parent.size)
+        inside = times <= T
+        times, labels = times[inside], labels[parent[inside]]
+        kept.append(labels)
+        total += labels.size
+        if total > cap:
+            counts += np.bincount(np.concatenate(kept[counted:]), minlength=size)
+            counted = len(kept)
+            if int(counts.max()) > cap:
+                raise CapExceeded(f"window population exceeded progeny_cap {cap}")
+    labels = np.concatenate(kept)
+    marks = model.mark.sample(rng, labels.size)
+    return np.bincount(labels, weights=marks, minlength=size)
 
 
 def sample_interference(model: InterferenceModel, rng) -> float:
-    """Draw one interference total at the origin (far-field mean added back).
+    """Draw one interference total at the origin (``_sample_fields`` of
+    size 1)."""
+    return float(_sample_fields(model, rng, 1)[0])
+
+
+def _sample_fields(model: InterferenceModel, rng, size: int) -> np.ndarray:
+    """Interference totals of ``size`` independent fields, far-field mean
+    added back.  Draw order: point counts, radii, then powers.
 
     Radial symmetry of the attenuation makes angles irrelevant, so only radii
-    are drawn: rho * sqrt(U) for the disk of truncation radius rho.
+    are drawn: r^2 = rho^2 U for the disk of truncation radius rho, and the
+    attenuation is max{r^2, radius^2}^(-alpha/2).  The arithmetic is done in
+    place, so a chunk allocates few point-sized arrays.
     """
     rho = model.truncation_radius
-    n = int(rng.poisson(model.lam * math.pi * rho * rho))
-    r = rho * np.sqrt(rng.random(n))
-    attenuation = np.maximum(r, model.radius) ** (-model.alpha)
-    powers = model.power.sample(rng, n)
-    return float(np.sum(powers * attenuation) + model.farfield_mean)
+    n = rng.poisson(model.lam * math.pi * rho * rho, size)
+    labels = np.repeat(np.arange(size), n)
+    signal = rng.random(labels.size)
+    signal *= rho * rho
+    np.maximum(signal, model.radius * model.radius, out=signal)
+    signal **= -0.5 * model.alpha
+    signal *= model.power.sample(rng, labels.size)
+    return np.bincount(labels, weights=signal, minlength=size) + model.farfield_mean
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +350,51 @@ class VerificationReport:
 
 def _run_indexed(fn, n: int, workers: int) -> list:
     """[fn(0), ..., fn(n-1)], computed in parallel but placed by index, so the
-    result is independent of the worker count."""
+    result is independent of the worker count.  The pool never has more
+    threads than CPUs or spans of work (there are at least as many spans as
+    threads), whatever ``workers`` asks for."""
+    workers = min(workers, n, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(i) for i in range(n)]
-    block = max(1, math.ceil(n / (4 * workers)))
+    block = math.ceil(n / (4 * workers))
     spans = [range(s, min(s + block, n)) for s in range(0, n, block)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         parts = list(ex.map(lambda span: [fn(i) for i in span], spans))
     return [v for part in parts for v in part]
+
+
+def _chunk_size(scenario) -> int:
+    """Replications per chunk, from the scenario alone: cascades come
+    _CHUNK_REPS at a time; windows and fields as many as keep a chunk's
+    expected points under _CHUNK_POINTS (lam T / (1 - E P) per window, lam pi
+    rho^2 per field), at least 1 and at most _CHUNK_REPS."""
+    if isinstance(scenario, ClusterModel):
+        points = scenario.lam * scenario.horizon / (1.0 - factorial_moments(scenario.offspring, 1)[0])
+    elif isinstance(scenario, InterferenceModel):
+        points = scenario.lam * math.pi * scenario.truncation_radius ** 2
+    else:
+        return _CHUNK_REPS
+    return max(1, int(min(_CHUNK_REPS, _CHUNK_POINTS / points)))
+
+
+def _replicate(scenario, n: int, seed: int, workers: int) -> np.ndarray:
+    """n independent totals of the scenario: mark totals of a ClusterModel's
+    windows, an InterferenceModel's fields, or an offspring law's cascade
+    sizes.  They are drawn in chunks of ``_chunk_size(scenario)``; chunk c
+    draws from its own ``default_rng([seed, c])`` stream, and chunks are
+    placed by index, so the draws are the same for any worker count."""
+    if isinstance(scenario, ClusterModel):
+        block = _sample_windows
+    elif isinstance(scenario, InterferenceModel):
+        block = _sample_fields
+    else:
+        block = _sample_progeny_block
+    chunk = _chunk_size(scenario)
+
+    def one(c: int) -> np.ndarray:
+        return block(scenario, np.random.default_rng([seed, c]), min(chunk, n - c * chunk))
+
+    return np.concatenate(_run_indexed(one, math.ceil(n / chunk), workers))
 
 
 def _bounds_for_scenario(scenario) -> GaussianBoundReport:
@@ -386,13 +455,7 @@ def _simulate_batch(scenario, n: int, seed: int, workers: int) -> tuple[np.ndarr
     if n < 2:
         raise DomainError("n_reps must be >= 2")
     mu, sd = _standardization(scenario)
-    draw = sample_cluster_window if isinstance(scenario, ClusterModel) else sample_interference
-
-    def one(i: int) -> float:
-        # the 0 once marked the main pass (calibration was 1); kept so no draw changes
-        return draw(scenario, np.random.default_rng([seed, 0, i]))
-
-    raw = np.asarray(_run_indexed(one, n, workers), dtype=float)
+    raw = _replicate(scenario, n, seed, workers)
     return (raw - mu) / sd, {"kind": "analytic", "mean": mu, "sd": sd}
 
 
@@ -496,14 +559,7 @@ def verify_moments(
     moments of Z with the recursion values, at 4 standard errors each."""
     if n_draws < 2:
         raise DomainError("n_draws must be >= 2")
-    n_chunks = math.ceil(n_draws / _PROGENY_CHUNK)
-
-    def chunk(ci: int) -> np.ndarray:
-        size = min(_PROGENY_CHUNK, n_draws - ci * _PROGENY_CHUNK)
-        rng = np.random.default_rng([seed, ci])
-        return _sample_progeny_block(offspring, rng, size, 10 ** 7)
-
-    draws = np.concatenate(_run_indexed(chunk, n_chunks, workers)).astype(float)
+    draws = _replicate(offspring, n_draws, seed, workers).astype(float)
 
     emp = {m: float(np.mean(draws ** m)) for m in range(1, 7)}
     checks = []

@@ -251,6 +251,9 @@ def test_criterion_11_worker_determinism():
              "--lambda-leb", "1e3", "--reps", "500", "--seed", str(SEED)],
             ["verify", "bci", "--h", "0.5", "--T", "1e3",
              "--reps", "500", "--seed", str(SEED)],
+            ["verify", "gauss", "--scenario", "interference", "--lambda", "50",
+             "--R", "1", "--alpha", "4", "--power", "exp:1", "--tail-eps", "10",
+             "--reps", "500", "--seed", str(SEED)],
         ]
         for args in cases:
             outs = []

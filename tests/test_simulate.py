@@ -2,6 +2,7 @@
 drivers.  All randomized tests run under fixed seeds, so they are exact
 regressions; statistical gates (4 SE, chi-square at 1e-3) were chosen to hold
 with large margin for the frozen seeds."""
+import dataclasses
 import math
 
 import numpy as np
@@ -38,8 +39,15 @@ from chaos_bounds import (
     verify_gaussian_bound,
     verify_moments,
 )
+from chaos_bounds import simulate
 from chaos_bounds.progeny import factorial_moments
-from chaos_bounds.simulate import _standardization, samples_csv_text
+from chaos_bounds.simulate import (
+    _chunk_size,
+    _sample_fields,
+    _sample_windows,
+    _standardization,
+    samples_csv_text,
+)
 
 ZERO_OFFSPRING = FactorialMoments((0.0, 0.0, 0.0, 0.0))
 
@@ -167,6 +175,51 @@ def test_window_cap_trips():
     model = ClusterModel(1.0, 1000.0, PoissonMean(0.5), progeny_cap=10)
     with pytest.raises(CapExceeded):
         sample_cluster_window(model, np.random.default_rng(0))
+
+
+def test_window_cap_is_per_window_within_a_chunk():
+    # unit marks make each total its window's population, and the cap draws
+    # nothing, so the same stream gives the same chunk at any cap
+    model = ClusterModel(1.0, 50.0, PoissonMean(0.5))
+    sizes = _sample_windows(model, np.random.default_rng(5), 300)
+    largest = int(sizes.max())
+    # every window at or under the cap, the chunk's total far above it
+    assert sizes.sum() > largest
+    capped = dataclasses.replace(model, progeny_cap=largest)
+    np.testing.assert_array_equal(_sample_windows(capped, np.random.default_rng(5), 300), sizes)
+    # one window past the cap, through its offspring: the immigrant counts,
+    # drawn first, are all under it
+    assert np.random.default_rng(5).poisson(50.0, 300).max() < largest - 1
+    capped = dataclasses.replace(model, progeny_cap=largest - 1)
+    with pytest.raises(CapExceeded):
+        _sample_windows(capped, np.random.default_rng(5), 300)
+
+
+def test_single_draw_samplers_are_size_one_chunks():
+    window = ClusterModel(1.0, 50.0, PoissonMean(0.5), mark=ExponentialMark(1.0))
+    field = InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0))
+    for i in range(20):
+        assert sample_cluster_window(window, np.random.default_rng([3, i])) == (
+            _sample_windows(window, np.random.default_rng([3, i]), 1)[0]
+        )
+        assert sample_interference(field, np.random.default_rng([4, i])) == (
+            _sample_fields(field, np.random.default_rng([4, i]), 1)[0]
+        )
+
+
+def test_chunked_fields_match_campbell():
+    # 200 fields to a chunk; a sampled field lacks the far field's variance
+    # 2 pi lam E P^2 rho^(2 - 2 alpha) / (2 alpha - 2)
+    model = InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0)
+    rng = np.random.default_rng(203)
+    x = np.concatenate([_sample_fields(model, rng, 200) for _ in range(50)])
+    mean, sd = _standardization(model)
+    rho, a = model.truncation_radius, model.alpha
+    want_var = sd * sd - 2.0 * math.pi * 5.0 * 2.0 * rho ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
+    var = x.var(ddof=1)
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
+    fourth = np.mean((x - x.mean()) ** 4)
+    assert abs(var - want_var) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
 
 
 def test_marked_window_mean():
@@ -337,8 +390,10 @@ def test_window_standardization_closed_values():
     (ClusterModel(1.0, 10.0, PoissonMean(0.8), mark=CenteredGaussianMark(1.0), delay_rate=0.3), 103),
 ])
 def test_window_standardization_matches_simulation(model, seed):
+    # 500 windows to a chunk: a point given another window's label keeps the
+    # mean but moves the variance
     rng = np.random.default_rng(seed)
-    x = np.array([sample_cluster_window(model, rng) for _ in range(20000)])
+    x = np.concatenate([_sample_windows(model, rng, 500) for _ in range(40)])
     mean, sd = _standardization(model)
     var = x.var(ddof=1)
     assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
@@ -346,19 +401,72 @@ def test_window_standardization_matches_simulation(model, seed):
     assert abs(var - sd * sd) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
 
 
-@pytest.mark.parametrize("verify", ["gauss", "bci"])
-def test_verify_draws_main_pass_streams(verify):
-    # replication i draws from default_rng([seed, 0, i]), and the reported
-    # samples are those draws standardized with the exact mean and sd
-    model = ClusterModel(2.0, 10.0, PoissonMean(0.5))
-    if verify == "gauss":
+@pytest.mark.parametrize("verify", ["gauss", "bci", "gauss-interference"])
+def test_verify_draws_main_pass_streams(verify, monkeypatch):
+    # chunk c holds _chunk_size(model) totals drawn from default_rng([seed, c]),
+    # and the reported samples are those draws standardized with the exact
+    # mean and sd; 400 points a chunk makes 10 totals (40 expected points
+    # each), so 30 replications take three chunks
+    monkeypatch.setattr(simulate, "_CHUNK_POINTS", 400)
+    if verify == "gauss-interference":
+        model, block = InterferenceModel(1.0, 1.0, 4.0, tail_eps=0.25), _sample_fields
         report = verify_gaussian_bound(model, 30, seed=17, workers=2)
     else:
-        report = verify_bci(model, 0.0, 5.0, [1.0], 30, seed=17, workers=2)
+        model, block = ClusterModel(2.0, 10.0, PoissonMean(0.5)), _sample_windows
+        if verify == "gauss":
+            report = verify_gaussian_bound(model, 30, seed=17, workers=2)
+        else:
+            report = verify_bci(model, 0.0, 5.0, [1.0], 30, seed=17, workers=2)
     std = report.details["standardization"]
     assert (std["mean"], std["sd"]) == _standardization(model)
-    want = [sample_cluster_window(model, np.random.default_rng([17, 0, i])) for i in range(30)]
+    assert _chunk_size(model) == 10
+    want = np.concatenate([block(model, np.random.default_rng([17, c]), 10) for c in range(3)])
     np.testing.assert_allclose(report.samples * std["sd"] + std["mean"], want, rtol=1e-12, atol=1e-12)
+
+
+def test_chunk_sizes():
+    assert _chunk_size(PoissonMean(0.9)) == 4096
+    # lam T / (1 - E P) = 2e4 expected points: one window a chunk
+    assert _chunk_size(ClusterModel(1.0, 1e4, PoissonMean(0.5))) == 1
+    assert _chunk_size(ClusterModel(1.0, 1e3, Binomial(3, 0.2))) == 13  # 2^15 / 2500
+    assert _chunk_size(ClusterModel(1e-3, 1.0, PoissonMean(0.5))) == 4096
+    assert _chunk_size(ClusterModel(1e300, 1e300, ZERO_OFFSPRING)) == 1
+    # lam pi rho^2 = 50 pi (5 pi) = 2467 expected points
+    model = InterferenceModel(50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
+    assert _chunk_size(model) == 13
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    # a huge --workers must not ask for a thread per span: the pool is capped
+    # at the spans of work and the CPUs (the fake pool starts no thread)
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    assert simulate._run_indexed(lambda i: i, 50, 10 ** 6) == list(range(50))
+    assert simulate._run_indexed(lambda i: i, 3, 10 ** 6) == [0, 1, 2]
+    assert pools == [4, 3]
+    model = ClusterModel(1.0, 1e4, PoissonMean(0.5))  # one window a chunk
+    many = verify_gaussian_bound(model, 20, seed=3, workers=10 ** 6)
+    one = verify_gaussian_bound(model, 20, seed=3, workers=1)
+    assert pools == [4, 3, 4]
+    assert np.array_equal(many.samples, one.samples)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert simulate._run_indexed(lambda i: i, 50, 10 ** 6) == list(range(50))
+    assert pools == [4, 3, 4]
 
 
 # ---------------------------------------------------------------------------
