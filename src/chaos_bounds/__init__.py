@@ -87,8 +87,6 @@ _SIMULATE_NAMES = frozenset({
     "dkw_margin",
     "empirical_kolmogorov",
     "empirical_wasserstein",
-    "sample_cluster_window",
-    "sample_interference",
     "sample_progeny",
     "verify_bci",
     "verify_gaussian_bound",

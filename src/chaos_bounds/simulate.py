@@ -1,5 +1,10 @@
 """Exact Monte Carlo samplers and empirical verification of the bounds.
 
+A scenario, a ``ClusterModel`` window or an ``InterferenceModel`` field,
+owns its chunk sampler (``sample``), its expected point count
+(``expected_points``), its exact mean and variance (``mean_var``) and its
+Gaussian bounds (``bounds``), so the verify drivers never ask its type.
+
 Cluster windows and progeny cascades are exact: both grow one generation at
 a time through ``_next_generation``.  Interference fields are truncated at a
 radius whose discarded far field has mean at most ``tail_eps``; that mean is
@@ -7,11 +12,11 @@ added back, so the total's mean is exact but its variance is not
 (``InterferenceModel``).
 
 Each verify command simulates one pass through one driver, ``_replicate``,
-and the Gaussian and tail checks standardize it exactly
-(``_standardization``).  The driver draws replications in chunks whose size
-depends on the scenario alone (``_chunk_size``).  Inside a chunk
-every point carries its replication's label and one ``np.bincount`` gives
-the totals.  Determinism: chunk c draws from its own
+and the Gaussian and tail checks standardize it exactly (``mean_var``).
+Cascades come ``_CHUNK_REPS`` to a chunk, windows and fields as many as
+keep a chunk's expected points under ``_CHUNK_POINTS`` (``_simulate_batch``).
+Inside a chunk every point carries its replication's label and one
+``np.bincount`` gives the totals.  Determinism: chunk c draws from its own
 ``default_rng([seed, c])`` stream and chunks are placed by index, so output
 is byte-identical for any worker count.
 
@@ -94,6 +99,76 @@ class ClusterModel:
         if self.progeny_cap < 1:
             raise DomainError("progeny_cap must be >= 1")
 
+    @property
+    def expected_points(self) -> float:
+        """lam T / (1 - E P): a window's expected points before censoring."""
+        return self.lam * self.horizon / (1.0 - factorial_moments(self.offspring, 1)[0])
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        """Mark totals of ``size`` independent windows.  Every point carries its
+        window's label.  Draw order is fixed: immigrant counts, immigrant times,
+        then per generation (parents, delays), then all marks in one block.
+
+        ``progeny_cap`` bounds each window's population, not the chunk's; the
+        per-window counts are kept only once the chunk's total passes the cap.
+        """
+        T, cap = self.horizon, self.progeny_cap
+        n0 = rng.poisson(self.lam * T, size)
+        if int(n0.max()) > cap:
+            raise CapExceeded(f"window population exceeded progeny_cap {cap}")
+        labels = np.repeat(np.arange(size), n0)
+        times = rng.uniform(0.0, T, labels.size)
+        kept = [labels]
+        total, counted, counts = labels.size, 0, np.zeros(size, dtype=np.int64)
+        while times.size:
+            parent = _next_generation(self.offspring, rng, times.size)
+            times = times[parent] + rng.exponential(1.0 / self.delay_rate, parent.size)
+            inside = times <= T
+            times, labels = times[inside], labels[parent[inside]]
+            kept.append(labels)
+            total += labels.size
+            if total > cap:
+                counts += np.bincount(np.concatenate(kept[counted:]), minlength=size)
+                counted = len(kept)
+                if int(counts.max()) > cap:
+                    raise CapExceeded(f"window population exceeded progeny_cap {cap}")
+        labels = np.concatenate(kept)
+        marks = self.mark.sample(rng, labels.size)
+        return np.bincount(labels, weights=marks, minlength=size)
+
+    def mean_var(self) -> tuple[float, float]:
+        """Exact (mean, variance) of a window total.
+
+        The window is a first chaos of the immigrant cascades, with kernel
+        C_{T-s} for C_u a cascade's mark total within lag u: its mean and
+        variance are lam int_0^T E C_u du and lam int_0^T E C_u^2 du.  With
+        delays D ~ exponential(beta), psi_u(t) = E e^{t C_u} = m_M(t) G_P(phi_u)
+        for phi_u = E[psi_{u-D}; D <= u] + P(D > u), phi' = beta (psi - phi),
+        phi_0 = 1.  Put m = E P, g2 = E P(P-1), mu1 = E M (signed), mu2 = E M^2,
+        r = beta (1 - m), A = mu1 / (1 - m), x = e^{-r u}; expand
+        phi_u = 1 + b1 t + b2 t^2 / 2.  Order t: b1 = A (1 - x), E C_u = A (1 - m x).
+        Order t^2: E C_u^2 = q + m b2, q = mu2 + 2 mu1 m b1 + g2 b1^2
+        = c0 + c1 x + c2 x^2, b2' = beta q - r b2, b2(0) = 0.  With e1 = 1 - e^{-rT}
+        and e2 = 1 - e^{-2rT}: int E C_u = A (T - m e1 / r), int q = c0 T
+        + c1 e1 / r + c2 e2 / (2 r) and int b2 / beta = c0 (T - e1/r) / r
+        + (c1 (e1 - rT e^{-rT}) + c2 (e1 - e2/2)) / r^2.
+        """
+        T, beta = self.horizon, self.delay_rate
+        m, g2 = factorial_moments(self.offspring, 2)
+        mu1, mu2 = self.mark.mean, self.mark.abs_moment(2)
+        r, A = beta * (1.0 - m), mu1 / (1.0 - m)
+        e1, e2 = -math.expm1(-r * T), -math.expm1(-2.0 * r * T)
+        c0 = mu2 + 2.0 * mu1 * m * A + g2 * A * A
+        c1, c2 = -2.0 * mu1 * m * A - 2.0 * g2 * A * A, g2 * A * A
+        int_q = c0 * T + c1 * e1 / r + c2 * e2 / (2.0 * r)
+        x_T = math.exp(-r * T)
+        int_b2 = c0 * (T - e1 / r) / r + (c1 * (e1 - r * T * x_T) + c2 * (e1 - e2 / 2.0)) / (r * r)
+        return self.lam * A * (T - m * e1 / r), self.lam * (int_q + m * beta * int_b2)
+
+    def bounds(self) -> GaussianBoundReport:
+        """The paper's (dW, dK) bounds for this window."""
+        return cluster_bounds_for_law(Region(self.lam, self.horizon), self.offspring, self.mark)
+
 
 @dataclass(frozen=True)
 class InterferenceModel:
@@ -157,6 +232,43 @@ class InterferenceModel:
             / (a - 2.0)
         )
 
+    @property
+    def expected_points(self) -> float:
+        """lam pi rho^2: a field's expected transmitters inside rho."""
+        return self.lam * math.pi * self.truncation_radius ** 2
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        """Interference totals of ``size`` independent fields, far-field mean
+        added back.  Draw order: point counts, radii, then powers.
+
+        Radial symmetry of the attenuation makes angles irrelevant, so only radii
+        are drawn: r^2 = rho^2 U for the disk of truncation radius rho, and the
+        attenuation is max{r^2, radius^2}^(-alpha/2).  The arithmetic is done in
+        place, so a chunk allocates few point-sized arrays.
+        """
+        rho = self.truncation_radius
+        n = rng.poisson(self.lam * math.pi * rho * rho, size)
+        labels = np.repeat(np.arange(size), n)
+        signal = rng.random(labels.size)
+        signal *= rho * rho
+        np.maximum(signal, self.radius * self.radius, out=signal)
+        signal **= -0.5 * self.alpha
+        signal *= self.power.sample(rng, labels.size)
+        return np.bincount(labels, weights=signal, minlength=size) + self.farfield_mean
+
+    def mean_var(self) -> tuple[float, float]:
+        """Exact (mean, variance) of the untruncated total, by Campbell:
+        lam E[P] i1 and lam E[P^2] i2 for the attenuation integrals i1, i2."""
+        p, R, a = self.power, self.radius, self.alpha
+        return (
+            self.lam * p.abs_moment(1) * hertzian_integral(R, a, 1),
+            self.lam * p.abs_moment(2) * hertzian_integral(R, a, 2),
+        )
+
+    def bounds(self) -> GaussianBoundReport:
+        """The paper's (dW, dK) bounds for the untruncated total."""
+        return interference_bounds_for_power(self.lam, self.radius, self.alpha, self.power)
+
 
 # ---------------------------------------------------------------------------
 # samplers
@@ -194,70 +306,6 @@ def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int = 10 ** 7)
         if int(total.max()) > cap:
             raise CapExceeded(f"total progeny exceeded cap {cap}")
     return total
-
-
-def sample_cluster_window(model: ClusterModel, rng) -> float:
-    """Draw one mark total over the window (``_sample_windows`` of size 1)."""
-    return float(_sample_windows(model, rng, 1)[0])
-
-
-def _sample_windows(model: ClusterModel, rng, size: int) -> np.ndarray:
-    """Mark totals of ``size`` independent windows.  Every point carries its
-    window's label.  Draw order is fixed: immigrant counts, immigrant times,
-    then per generation (parents, delays), then all marks in one block.
-
-    ``progeny_cap`` bounds each window's population, not the chunk's; the
-    per-window counts are kept only once the chunk's total passes the cap.
-    """
-    T, cap = model.horizon, model.progeny_cap
-    n0 = rng.poisson(model.lam * T, size)
-    if int(n0.max()) > cap:
-        raise CapExceeded(f"window population exceeded progeny_cap {cap}")
-    labels = np.repeat(np.arange(size), n0)
-    times = rng.uniform(0.0, T, labels.size)
-    kept = [labels]
-    total, counted, counts = labels.size, 0, np.zeros(size, dtype=np.int64)
-    while times.size:
-        parent = _next_generation(model.offspring, rng, times.size)
-        times = times[parent] + rng.exponential(1.0 / model.delay_rate, parent.size)
-        inside = times <= T
-        times, labels = times[inside], labels[parent[inside]]
-        kept.append(labels)
-        total += labels.size
-        if total > cap:
-            counts += np.bincount(np.concatenate(kept[counted:]), minlength=size)
-            counted = len(kept)
-            if int(counts.max()) > cap:
-                raise CapExceeded(f"window population exceeded progeny_cap {cap}")
-    labels = np.concatenate(kept)
-    marks = model.mark.sample(rng, labels.size)
-    return np.bincount(labels, weights=marks, minlength=size)
-
-
-def sample_interference(model: InterferenceModel, rng) -> float:
-    """Draw one interference total at the origin (``_sample_fields`` of
-    size 1)."""
-    return float(_sample_fields(model, rng, 1)[0])
-
-
-def _sample_fields(model: InterferenceModel, rng, size: int) -> np.ndarray:
-    """Interference totals of ``size`` independent fields, far-field mean
-    added back.  Draw order: point counts, radii, then powers.
-
-    Radial symmetry of the attenuation makes angles irrelevant, so only radii
-    are drawn: r^2 = rho^2 U for the disk of truncation radius rho, and the
-    attenuation is max{r^2, radius^2}^(-alpha/2).  The arithmetic is done in
-    place, so a chunk allocates few point-sized arrays.
-    """
-    rho = model.truncation_radius
-    n = rng.poisson(model.lam * math.pi * rho * rho, size)
-    labels = np.repeat(np.arange(size), n)
-    signal = rng.random(labels.size)
-    signal *= rho * rho
-    np.maximum(signal, model.radius * model.radius, out=signal)
-    signal **= -0.5 * model.alpha
-    signal *= model.power.sample(rng, labels.size)
-    return np.bincount(labels, weights=signal, minlength=size) + model.farfield_mean
 
 
 # ---------------------------------------------------------------------------
@@ -363,99 +411,30 @@ def _run_indexed(fn, n: int, workers: int) -> list:
     return [v for part in parts for v in part]
 
 
-def _chunk_size(scenario) -> int:
-    """Replications per chunk, from the scenario alone: cascades come
-    _CHUNK_REPS at a time; windows and fields as many as keep a chunk's
-    expected points under _CHUNK_POINTS (lam T / (1 - E P) per window, lam pi
-    rho^2 per field), at least 1 and at most _CHUNK_REPS."""
-    if isinstance(scenario, ClusterModel):
-        points = scenario.lam * scenario.horizon / (1.0 - factorial_moments(scenario.offspring, 1)[0])
-    elif isinstance(scenario, InterferenceModel):
-        points = scenario.lam * math.pi * scenario.truncation_radius ** 2
-    else:
-        return _CHUNK_REPS
-    return max(1, int(min(_CHUNK_REPS, _CHUNK_POINTS / points)))
-
-
-def _replicate(scenario, n: int, seed: int, workers: int) -> np.ndarray:
-    """n independent totals of the scenario: mark totals of a ClusterModel's
-    windows, an InterferenceModel's fields, or an offspring law's cascade
-    sizes.  They are drawn in chunks of ``_chunk_size(scenario)``; chunk c
-    draws from its own ``default_rng([seed, c])`` stream, and chunks are
-    placed by index, so the draws are the same for any worker count."""
-    if isinstance(scenario, ClusterModel):
-        block = _sample_windows
-    elif isinstance(scenario, InterferenceModel):
-        block = _sample_fields
-    else:
-        block = _sample_progeny_block
-    chunk = _chunk_size(scenario)
+def _replicate(sample, chunk: int, n: int, seed: int, workers: int) -> np.ndarray:
+    """n independent totals drawn by ``sample(rng, size)`` in chunks of
+    ``chunk``; chunk c draws from its own ``default_rng([seed, c])`` stream,
+    and chunks are placed by index, so the draws are the same for any worker
+    count."""
 
     def one(c: int) -> np.ndarray:
-        return block(scenario, np.random.default_rng([seed, c]), min(chunk, n - c * chunk))
+        return sample(np.random.default_rng([seed, c]), min(chunk, n - c * chunk))
 
     return np.concatenate(_run_indexed(one, math.ceil(n / chunk), workers))
 
 
-def _bounds_for_scenario(scenario) -> GaussianBoundReport:
-    if isinstance(scenario, ClusterModel):
-        region = Region(scenario.lam, scenario.horizon)
-        return cluster_bounds_for_law(region, scenario.offspring, scenario.mark)
-    if isinstance(scenario, InterferenceModel):
-        return interference_bounds_for_power(
-            scenario.lam, scenario.radius, scenario.alpha, scenario.power
-        )
-    raise DomainError(f"unsupported scenario: {scenario!r}")
-
-
-def _standardization(scenario) -> tuple[float, float]:
-    """Exact (mean, sd) of one simulated total.
-
-    Interference: Campbell's mean lam E[P] i1 and variance lam E[P^2] i2.
-    A cluster window is a first chaos of the immigrant cascades, with kernel
-    C_{T-s} for C_u a cascade's mark total within lag u: its mean and
-    variance are lam int_0^T E C_u du and lam int_0^T E C_u^2 du.  With
-    delays D ~ exponential(beta), psi_u(t) = E e^{t C_u} = m_M(t) G_P(phi_u)
-    for phi_u = E[psi_{u-D}; D <= u] + P(D > u), phi' = beta (psi - phi),
-    phi_0 = 1.  Put m = E P, g2 = E P(P-1), mu1 = E M (signed), mu2 = E M^2,
-    r = beta (1 - m), A = mu1 / (1 - m), x = e^{-r u}; expand
-    phi_u = 1 + b1 t + b2 t^2 / 2.  Order t: b1 = A (1 - x), E C_u = A (1 - m x).
-    Order t^2: E C_u^2 = q + m b2, q = mu2 + 2 mu1 m b1 + g2 b1^2
-    = c0 + c1 x + c2 x^2, b2' = beta q - r b2, b2(0) = 0.  With e1 = 1 - e^{-rT}
-    and e2 = 1 - e^{-2rT}: int E C_u = A (T - m e1 / r), int q = c0 T
-    + c1 e1 / r + c2 e2 / (2 r) and int b2 / beta = c0 (T - e1/r) / r
-    + (c1 (e1 - rT e^{-rT}) + c2 (e1 - e2/2)) / r^2.
-    """
-    if isinstance(scenario, InterferenceModel):
-        p, R, a = scenario.power, scenario.radius, scenario.alpha
-        mean = scenario.lam * p.abs_moment(1) * hertzian_integral(R, a, 1)
-        var = scenario.lam * p.abs_moment(2) * hertzian_integral(R, a, 2)
-    elif isinstance(scenario, ClusterModel):
-        T, beta = scenario.horizon, scenario.delay_rate
-        m, g2 = factorial_moments(scenario.offspring, 2)
-        mu1, mu2 = scenario.mark.mean, scenario.mark.abs_moment(2)
-        r, A = beta * (1.0 - m), mu1 / (1.0 - m)
-        e1, e2 = -math.expm1(-r * T), -math.expm1(-2.0 * r * T)
-        c0 = mu2 + 2.0 * mu1 * m * A + g2 * A * A
-        c1, c2 = -2.0 * mu1 * m * A - 2.0 * g2 * A * A, g2 * A * A
-        int_q = c0 * T + c1 * e1 / r + c2 * e2 / (2.0 * r)
-        x_T = math.exp(-r * T)
-        int_b2 = c0 * (T - e1 / r) / r + (c1 * (e1 - r * T * x_T) + c2 * (e1 - e2 / 2.0)) / (r * r)
-        mean = scenario.lam * A * (T - m * e1 / r)
-        var = scenario.lam * (int_q + m * beta * int_b2)
-    else:
-        raise DomainError(f"unsupported scenario: {scenario!r}")
-    if not (math.isfinite(mean) and 0.0 < var < math.inf):
-        raise DomainError(f"exact variance {var!r} of the total is not positive and finite")
-    return mean, math.sqrt(var)
-
-
 def _simulate_batch(scenario, n: int, seed: int, workers: int) -> tuple[np.ndarray, dict]:
-    """n exactly standardized totals, and the standardization a report echoes."""
+    """n exactly standardized totals, and the standardization a report echoes.
+    A chunk holds as many totals as keep its expected points under
+    _CHUNK_POINTS, at least 1 and at most _CHUNK_REPS."""
     if n < 2:
         raise DomainError("n_reps must be >= 2")
-    mu, sd = _standardization(scenario)
-    raw = _replicate(scenario, n, seed, workers)
+    mu, var = scenario.mean_var()
+    if not (math.isfinite(mu) and 0.0 < var < math.inf):
+        raise DomainError(f"exact variance {var!r} of the total is not positive and finite")
+    sd = math.sqrt(var)
+    chunk = max(1, int(min(_CHUNK_REPS, _CHUNK_POINTS / scenario.expected_points)))
+    raw = _replicate(scenario.sample, chunk, n, seed, workers)
     return (raw - mu) / sd, {"kind": "analytic", "mean": mu, "sd": sd}
 
 
@@ -465,10 +444,10 @@ def verify_gaussian_bound(
     """Simulate the scenario, standardize, and test the empirical Kolmogorov
     and Wasserstein distances to N(0,1) against the computed bounds.
 
-    The total is standardized exactly (``_standardization``).  Passing means
+    The total is standardized exactly (``scenario.mean_var``).  Passing means
     dk_emp <= dk_bound + dkw_margin(n_reps, 0.001) and dw_emp <= dw_bound + 0.05.
     """
-    report = _bounds_for_scenario(scenario)
+    report = scenario.bounds()
     z, standardization = _simulate_batch(scenario, n_reps, seed, workers)
     dk_emp = empirical_kolmogorov(z)
     dw_emp = empirical_wasserstein(z)
@@ -517,6 +496,11 @@ def verify_bci(
         raise DomainError("x_grid must be nonempty")
     if any(not (x >= 0) for x in xs):
         raise DomainError("x_grid values must be >= 0")
+    # the deterministic half first, so a bad input fails before any draw
+    bounds = [bci_bound(gamma, delta, x) for x in xs]
+    cumulant = cumulant_condition_for_law(
+        scenario.mark, scenario.offspring, scenario.lam * scenario.horizon, gamma, delta, m_max
+    )
 
     z, standardization = _simulate_batch(scenario, n_reps, seed, workers)
 
@@ -524,8 +508,7 @@ def verify_bci(
     abs_z = np.abs(z)
     tails = []
     tails_ok = True
-    for x in xs:
-        bound = bci_bound(gamma, delta, x)
+    for x, bound in zip(xs, bounds):
         checked = bound + margin < 1.0
         emp = float(np.mean(abs_z >= x))
         ok = (emp <= bound + margin) if checked else True
@@ -534,9 +517,6 @@ def verify_bci(
             {"x": x, "bound": bound, "empirical": emp, "checked": checked, "ok": ok}
         )
 
-    cumulant = cumulant_condition_for_law(
-        scenario.mark, scenario.offspring, scenario.lam * scenario.horizon, gamma, delta, m_max
-    )
     passed = tails_ok and cumulant.all_pass
     details = {
         "gamma": gamma,
@@ -559,18 +539,23 @@ def verify_moments(
     moments of Z with the recursion values, at 4 standard errors each."""
     if n_draws < 2:
         raise DomainError("n_draws must be >= 2")
-    draws = _replicate(offspring, n_draws, seed, workers).astype(float)
+    theory = {m: progeny_moment(offspring, m) for m in (1, 2, 3)}
+    # the lambda reads the module's _sample_progeny_block at each call, so a
+    # wrapper installed on that name sees every block
+    draws = _replicate(
+        lambda rng, size: _sample_progeny_block(offspring, rng, size),
+        _CHUNK_REPS, n_draws, seed, workers,
+    ).astype(float)
 
     emp = {m: float(np.mean(draws ** m)) for m in range(1, 7)}
     checks = []
     passed = True
-    for m in (1, 2, 3):
-        theory = progeny_moment(offspring, m)
+    for m, want in theory.items():
         se = math.sqrt(max(emp[2 * m] - emp[m] ** 2, 0.0) / n_draws)
-        ok = abs(emp[m] - theory) <= 4.0 * se
+        ok = abs(emp[m] - want) <= 4.0 * se
         passed = passed and ok
         checks.append(
-            {"m": m, "empirical": emp[m], "theory": theory, "se": se, "ok": ok}
+            {"m": m, "empirical": emp[m], "theory": want, "se": se, "ok": ok}
         )
     details = {
         "n_draws": n_draws,

@@ -37,7 +37,6 @@ from chaos_bounds import (
     progeny_moment_series,
     progeny_moment_table,
     check_cumulant_condition,
-    sample_cluster_window,
     verify_bci,
     verify_gaussian_bound,
     Region,
@@ -159,11 +158,8 @@ def test_criterion_05_compound_poisson_distance():
 def test_criterion_06_hawkes_moments():
     with criterion("criterion 06 cluster window moments", 60.0) as c:
         model = ClusterModel(1.0, 1e4, PoissonMean(0.5), delay_rate=1.0)
-        x = np.array(
-            [
-                sample_cluster_window(model, np.random.default_rng([SEED, 0, i]))
-                for i in range(500)
-            ]
+        x = np.concatenate(
+            [model.sample(np.random.default_rng([SEED, 0, i]), 1) for i in range(500)]
         )
         mean_ratio = float(x.mean()) / (1e4 / 0.5)
         var_ratio = float(x.var(ddof=1)) / (1e4 / 0.5 ** 3)

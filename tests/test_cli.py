@@ -234,17 +234,34 @@ def test_nan_input_exit_2(argv):
     assert err.startswith("error: ") and err.endswith("must be >= 0\n")
 
 
-@pytest.mark.parametrize("grid", [("--x-max", "inf"), ("--x-step", "1e-6")])
+# --m-max 2 is below the first order, and at --m-max 200 E Z^130 leaves
+# float64 range: the cumulant check rejects both before any draw
+@pytest.mark.parametrize("grid", [
+    ("--x-max", "inf"), ("--x-step", "1e-6"), ("--m-max", "2"), ("--m-max", "200"),
+])
 def test_verify_bci_rejects_grid_before_simulating(grid, monkeypatch):
     from chaos_bounds import simulate
 
     def no_simulation(*args, **kw):
-        raise AssertionError("simulated before checking the x-grid")
+        raise AssertionError("simulated before checking the deterministic inputs")
 
     monkeypatch.setattr(simulate, "_simulate_batch", no_simulation)
     code, out, err = run_main("verify", "bci", "--h", "0.5", "--T", "10", "--reps", "10", *grid)
     assert code == 2, err
     assert out == "" and "error: " in err
+
+
+def test_verify_moments_rejects_law_before_simulating(monkeypatch):
+    # factorial:0 samples (no offspring) but stores too few moments for E Z^2
+    from chaos_bounds import simulate
+
+    def no_simulation(*args, **kw):
+        raise AssertionError("drew cascades before computing the theory moments")
+
+    monkeypatch.setattr(simulate, "_replicate", no_simulation)
+    code, out, err = run_main("verify", "moments", "--offspring", "factorial:0", "--reps", "10")
+    assert code == 2, err
+    assert out == "" and err == "error: law stores 1 factorial moments, 2 requested\n"
 
 
 def test_verification_failure_exit_3_with_report():

@@ -31,8 +31,6 @@ from chaos_bounds import (
     empirical_wasserstein,
     hertzian_integral,
     progeny_moment,
-    sample_cluster_window,
-    sample_interference,
     sample_progeny,
     UniformMark,
     verify_bci,
@@ -40,14 +38,9 @@ from chaos_bounds import (
     verify_moments,
 )
 from chaos_bounds import simulate
+from chaos_bounds.gaussian_bounds import GaussianBoundReport
 from chaos_bounds.progeny import factorial_moments
-from chaos_bounds.simulate import (
-    _chunk_size,
-    _sample_fields,
-    _sample_windows,
-    _standardization,
-    samples_csv_text,
-)
+from chaos_bounds.simulate import samples_csv_text
 
 ZERO_OFFSPRING = FactorialMoments((0.0, 0.0, 0.0, 0.0))
 
@@ -150,7 +143,7 @@ def test_zero_offspring_window_is_poisson():
     # with no offspring and unit marks the window total is Poisson(lam T)
     model = ClusterModel(2.0, 50.0, ZERO_OFFSPRING)
     rng = np.random.default_rng(99)
-    x = np.array([sample_cluster_window(model, rng) for _ in range(2000)])
+    x = np.concatenate([model.sample(rng, 1) for _ in range(2000)])
     mean_se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - 100.0) <= 4.0 * mean_se
     # Poisson variance equals the mean
@@ -165,7 +158,7 @@ def test_hawkes_window_mean():
     # expectation (up to e^{-beta T}): E total = lam T/(1-h) - lam h/(1-h)^2
     model = ClusterModel(1.0, 200.0, PoissonMean(0.5))
     rng = np.random.default_rng(4242)
-    x = np.array([sample_cluster_window(model, rng) for _ in range(1500)])
+    x = np.concatenate([model.sample(rng, 1) for _ in range(1500)])
     want = 200.0 / 0.5 - 0.5 / 0.25
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - want) <= 4.0 * se
@@ -174,37 +167,25 @@ def test_hawkes_window_mean():
 def test_window_cap_trips():
     model = ClusterModel(1.0, 1000.0, PoissonMean(0.5), progeny_cap=10)
     with pytest.raises(CapExceeded):
-        sample_cluster_window(model, np.random.default_rng(0))
+        model.sample(np.random.default_rng(0), 1)
 
 
 def test_window_cap_is_per_window_within_a_chunk():
     # unit marks make each total its window's population, and the cap draws
     # nothing, so the same stream gives the same chunk at any cap
     model = ClusterModel(1.0, 50.0, PoissonMean(0.5))
-    sizes = _sample_windows(model, np.random.default_rng(5), 300)
+    sizes = model.sample(np.random.default_rng(5), 300)
     largest = int(sizes.max())
     # every window at or under the cap, the chunk's total far above it
     assert sizes.sum() > largest
     capped = dataclasses.replace(model, progeny_cap=largest)
-    np.testing.assert_array_equal(_sample_windows(capped, np.random.default_rng(5), 300), sizes)
+    np.testing.assert_array_equal(capped.sample(np.random.default_rng(5), 300), sizes)
     # one window past the cap, through its offspring: the immigrant counts,
     # drawn first, are all under it
     assert np.random.default_rng(5).poisson(50.0, 300).max() < largest - 1
     capped = dataclasses.replace(model, progeny_cap=largest - 1)
     with pytest.raises(CapExceeded):
-        _sample_windows(capped, np.random.default_rng(5), 300)
-
-
-def test_single_draw_samplers_are_size_one_chunks():
-    window = ClusterModel(1.0, 50.0, PoissonMean(0.5), mark=ExponentialMark(1.0))
-    field = InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0))
-    for i in range(20):
-        assert sample_cluster_window(window, np.random.default_rng([3, i])) == (
-            _sample_windows(window, np.random.default_rng([3, i]), 1)[0]
-        )
-        assert sample_interference(field, np.random.default_rng([4, i])) == (
-            _sample_fields(field, np.random.default_rng([4, i]), 1)[0]
-        )
+        capped.sample(np.random.default_rng(5), 300)
 
 
 def test_chunked_fields_match_campbell():
@@ -212,10 +193,10 @@ def test_chunked_fields_match_campbell():
     # 2 pi lam E P^2 rho^(2 - 2 alpha) / (2 alpha - 2)
     model = InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0)
     rng = np.random.default_rng(203)
-    x = np.concatenate([_sample_fields(model, rng, 200) for _ in range(50)])
-    mean, sd = _standardization(model)
+    x = np.concatenate([model.sample(rng, 200) for _ in range(50)])
+    mean, exact_var = model.mean_var()
     rho, a = model.truncation_radius, model.alpha
-    want_var = sd * sd - 2.0 * math.pi * 5.0 * 2.0 * rho ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
+    want_var = exact_var - 2.0 * math.pi * 5.0 * 2.0 * rho ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
     var = x.var(ddof=1)
     assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
     fourth = np.mean((x - x.mean()) ** 4)
@@ -225,7 +206,7 @@ def test_chunked_fields_match_campbell():
 def test_marked_window_mean():
     model = ClusterModel(2.0, 50.0, ZERO_OFFSPRING, mark=ExponentialMark(3.0))
     rng = np.random.default_rng(7)
-    x = np.array([sample_cluster_window(model, rng) for _ in range(2000)])
+    x = np.concatenate([model.sample(rng, 1) for _ in range(2000)])
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - 300.0) <= 4.0 * se
 
@@ -235,7 +216,7 @@ def test_interference_sampler_campbell():
         50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0
     )
     rng = np.random.default_rng(31337)
-    x = np.array([sample_interference(model, rng) for _ in range(3000)])
+    x = np.concatenate([model.sample(rng, 1) for _ in range(3000)])
     i1 = hertzian_integral(1.0, 4.0, 1)
     want = 50.0 * 1.0 * i1
     se = x.std(ddof=1) / math.sqrt(x.size)
@@ -247,8 +228,8 @@ def test_interference_tail_eps_consistency():
     # (tiny) truncated variance; means agree to MC accuracy
     a = InterferenceModel(50.0, 1.0, 4.0, tail_eps=50.0)
     b = InterferenceModel(50.0, 1.0, 4.0, tail_eps=0.5)
-    xa = np.array([sample_interference(a, np.random.default_rng([5, i])) for i in range(2000)])
-    xb = np.array([sample_interference(b, np.random.default_rng([6, i])) for i in range(2000)])
+    xa = np.concatenate([a.sample(np.random.default_rng([5, i]), 1) for i in range(2000)])
+    xb = np.concatenate([b.sample(np.random.default_rng([6, i]), 1) for i in range(2000)])
     se = math.hypot(xa.std(ddof=1), xb.std(ddof=1)) / math.sqrt(2000)
     assert abs(xa.mean() - xb.mean()) <= 4.0 * se
 
@@ -371,17 +352,17 @@ ODE_MARKS = {
 @pytest.mark.parametrize("horizon", [0.1, 10.0, 1e4])
 def test_window_standardization_matches_ode(law, mark, beta, horizon):
     model = ClusterModel(1.3, horizon, ODE_LAWS[law], mark=ODE_MARKS[mark], delay_rate=beta)
-    mean, sd = _standardization(model)
+    mean, var = model.mean_var()
     want_mean, want_var = window_moments_ode(model)
     assert mean == pytest.approx(want_mean, rel=1e-9)  # both 0 for a gauss mark
-    assert sd * sd == pytest.approx(want_var, rel=1e-9)
+    assert var == pytest.approx(want_var, rel=1e-9)
 
 
 def test_window_standardization_closed_values():
     # Poisson(0.5) offspring, T = 50: mean 98, variance 378 (up to e^{-25})
-    mean, sd = _standardization(ClusterModel(1.0, 50.0, PoissonMean(0.5)))
+    mean, var = ClusterModel(1.0, 50.0, PoissonMean(0.5)).mean_var()
     assert mean == pytest.approx(98.0, rel=1e-12)
-    assert sd * sd == pytest.approx(378.0, rel=1e-10)
+    assert var == pytest.approx(378.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("model, seed", [
@@ -393,47 +374,96 @@ def test_window_standardization_matches_simulation(model, seed):
     # 500 windows to a chunk: a point given another window's label keeps the
     # mean but moves the variance
     rng = np.random.default_rng(seed)
-    x = np.concatenate([_sample_windows(model, rng, 500) for _ in range(40)])
-    mean, sd = _standardization(model)
+    x = np.concatenate([model.sample(rng, 500) for _ in range(40)])
+    mean, exact_var = model.mean_var()
     var = x.var(ddof=1)
     assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
     fourth = np.mean((x - x.mean()) ** 4)
-    assert abs(var - sd * sd) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
+    assert abs(var - exact_var) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
 
 
 @pytest.mark.parametrize("verify", ["gauss", "bci", "gauss-interference"])
 def test_verify_draws_main_pass_streams(verify, monkeypatch):
-    # chunk c holds _chunk_size(model) totals drawn from default_rng([seed, c]),
+    # chunk c holds 10 totals drawn by model.sample from default_rng([seed, c]),
     # and the reported samples are those draws standardized with the exact
     # mean and sd; 400 points a chunk makes 10 totals (40 expected points
     # each), so 30 replications take three chunks
     monkeypatch.setattr(simulate, "_CHUNK_POINTS", 400)
     if verify == "gauss-interference":
-        model, block = InterferenceModel(1.0, 1.0, 4.0, tail_eps=0.25), _sample_fields
+        model = InterferenceModel(1.0, 1.0, 4.0, tail_eps=0.25)
         report = verify_gaussian_bound(model, 30, seed=17, workers=2)
     else:
-        model, block = ClusterModel(2.0, 10.0, PoissonMean(0.5)), _sample_windows
+        model = ClusterModel(2.0, 10.0, PoissonMean(0.5))
         if verify == "gauss":
             report = verify_gaussian_bound(model, 30, seed=17, workers=2)
         else:
             report = verify_bci(model, 0.0, 5.0, [1.0], 30, seed=17, workers=2)
     std = report.details["standardization"]
-    assert (std["mean"], std["sd"]) == _standardization(model)
-    assert _chunk_size(model) == 10
-    want = np.concatenate([block(model, np.random.default_rng([17, c]), 10) for c in range(3)])
+    mean, var = model.mean_var()
+    assert (std["mean"], std["sd"]) == (mean, math.sqrt(var))
+    assert int(400 / model.expected_points) == 10
+    want = np.concatenate([model.sample(np.random.default_rng([17, c]), 10) for c in range(3)])
     np.testing.assert_allclose(report.samples * std["sd"] + std["mean"], want, rtol=1e-12, atol=1e-12)
 
 
-def test_chunk_sizes():
-    assert _chunk_size(PoissonMean(0.9)) == 4096
+@dataclasses.dataclass(frozen=True)
+class NormalScenario:
+    """Not a model: a scenario with just the four members the verify driver
+    asks for, whose totals are exactly N(0, 1), so its bounds are 0."""
+
+    expected_points: float = 100.0
+
+    def sample(self, rng, size):
+        return rng.standard_normal(size)
+
+    def mean_var(self):
+        return 0.0, 1.0
+
+    def bounds(self):
+        return GaussianBoundReport(dw_bound=0.0, dk_bound=0.0, inputs={"kind": "normal"})
+
+
+def test_driver_asks_a_scenario_only_for_its_members():
+    one = verify_gaussian_bound(NormalScenario(), 2000, seed=11, workers=1)
+    two = verify_gaussian_bound(NormalScenario(), 2000, seed=11, workers=2)
+    assert np.array_equal(one.samples, two.samples)
+    assert one.details == two.details
+    assert one.passed and two.passed
+    # 2^15 / 100 expected points: 327 totals a chunk, so seven chunks
+    want = np.concatenate([
+        np.random.default_rng([11, c]).standard_normal(min(327, 2000 - 327 * c)) for c in range(7)
+    ])
+    np.testing.assert_array_equal(one.samples, want)
+
+
+def test_chunk_sizes(monkeypatch):
+    chunks = []
+
+    def record(sample, chunk, n, seed, workers):
+        chunks.append(chunk)
+        return np.zeros(n)
+
+    monkeypatch.setattr(simulate, "_replicate", record)
+
+    def chunk_of(scenario):
+        simulate._simulate_batch(scenario, 2, 0, 1)
+        return chunks.pop()
+
+    verify_moments(PoissonMean(0.9), 2, seed=0)
+    assert chunks.pop() == 4096
     # lam T / (1 - E P) = 2e4 expected points: one window a chunk
-    assert _chunk_size(ClusterModel(1.0, 1e4, PoissonMean(0.5))) == 1
-    assert _chunk_size(ClusterModel(1.0, 1e3, Binomial(3, 0.2))) == 13  # 2^15 / 2500
-    assert _chunk_size(ClusterModel(1e-3, 1.0, PoissonMean(0.5))) == 4096
-    assert _chunk_size(ClusterModel(1e300, 1e300, ZERO_OFFSPRING)) == 1
+    model = ClusterModel(1.0, 1e4, PoissonMean(0.5))
+    assert model.expected_points == 2e4 and chunk_of(model) == 1
+    model = ClusterModel(1.0, 1e3, Binomial(3, 0.2))
+    assert model.expected_points == pytest.approx(2500.0) and chunk_of(model) == 13  # 2^15 / 2500
+    assert chunk_of(ClusterModel(1e-3, 1.0, PoissonMean(0.5))) == 4096
+    # this window's variance is not finite either, so a scenario with finite
+    # moments carries its point count to the chunk rule
+    assert ClusterModel(1e300, 1e300, ZERO_OFFSPRING).expected_points == math.inf
+    assert chunk_of(NormalScenario(expected_points=math.inf)) == 1
     # lam pi rho^2 = 50 pi (5 pi) = 2467 expected points
     model = InterferenceModel(50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
-    assert _chunk_size(model) == 13
+    assert model.expected_points == pytest.approx(250.0 * math.pi ** 2) and chunk_of(model) == 13
 
 
 def test_worker_pool_is_bounded(monkeypatch):
@@ -543,8 +573,7 @@ def test_verify_gaussian_bound_degenerate_sd():
     assert report.details["standardization"]["sd"] == pytest.approx(math.sqrt(1e-7), rel=1e-12)
     # a zero mark has exact variance 0, and nothing can be standardized
     model = ClusterModel(1.0, 10.0, PoissonMean(0.5), mark=ConstantMark(0.0))
-    with pytest.raises(DomainError):
-        _standardization(model)
+    assert model.mean_var() == (0.0, 0.0)
     with pytest.raises(DomainError):
         verify_gaussian_bound(model, 10, seed=5)
 
