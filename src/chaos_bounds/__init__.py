@@ -44,7 +44,6 @@ from .progeny import (
     consul_pmf,
     factorial_moments,
     progeny_moment,
-    progeny_moment_closed,
     progeny_moment_series,
     progeny_moment_table,
 )

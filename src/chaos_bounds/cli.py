@@ -62,8 +62,6 @@ from .progeny import (
     FactorialMoments,
     PoissonMean,
     abel_plana_bound,
-    borel_pmf,
-    consul_pmf,
     factorial_moments,
     progeny_moment_series,
     progeny_moment_table,
@@ -71,6 +69,8 @@ from .progeny import (
 
 DEFAULT_SEED = 0xC0FFEE
 SEED_ENV_VAR = "CHAOS_BOUNDS_SEED"
+# the most moment orders, pmf terms or x-grid points one command computes
+MAX_SIZE = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,6 +160,13 @@ def parse_offspring(text: str):
     )
 
 
+def _check_size(flag: str, value: int) -> None:
+    """Reject an order or length flag above MAX_SIZE before anything is
+    allocated for it."""
+    if value > MAX_SIZE:
+        raise DomainError(f"{flag} {value} is above the limit of {MAX_SIZE}")
+
+
 # ---------------------------------------------------------------------------
 # handlers: each returns its report, a dict or an object with to_dict().  A
 # VerificationReport's verdict sets the exit code, and its samples are what
@@ -228,6 +235,7 @@ def _cmd_tail_mdp(args):
 
 
 def _cmd_tail_cumulant(args):
+    _check_size("--m-max", args.m_max)
     mark = parse_mark(args.mark)
     gamma = args.gamma
     if gamma is None:  # no static default: the mark law's own gamma
@@ -238,12 +246,14 @@ def _cmd_tail_cumulant(args):
 
 
 def _cmd_moments_gw(args):
+    _check_size("--n", args.n)
     law = parse_offspring(args.offspring)
     moments = list(progeny_moment_table(law, args.n).moments)
     return {"offspring": law.describe(), "n": args.n, "moments": moments}
 
 
 def _cmd_moments_factorial(args):
+    _check_size("--n", args.n)
     law = parse_offspring(args.offspring)
     values = factorial_moments(law, args.n)
     return {"offspring": law.describe(), "n": args.n, "factorial_moments": values}
@@ -261,15 +271,10 @@ def _cmd_moments_series(args):
 
 def _cmd_moments_pmf(args):
     law = parse_offspring(args.offspring)
-    ks = range(1, args.k_max + 1)
     if args.k_max < 1:
         raise DomainError("--k-max must be >= 1")
-    if isinstance(law, PoissonMean):
-        pmf = [borel_pmf(law.h, k) for k in ks]
-    elif isinstance(law, Binomial):
-        pmf = [consul_pmf(law.h, law.p, k) for k in ks]
-    else:
-        raise DomainError("no closed pmf for a bare factorial-moment sequence")
+    _check_size("--k-max", args.k_max)
+    pmf = [law.pmf(k) for k in range(1, args.k_max + 1)]
     return {"offspring": law.describe(), "k_max": args.k_max, "pmf": pmf}
 
 
@@ -354,8 +359,9 @@ def _cmd_verify_bci(args):
     if not (0 < args.x_step < math.inf and 0 <= args.x_max < math.inf):
         raise DomainError("need finite --x-step > 0 and --x-max >= 0")
     steps = math.floor(args.x_max / args.x_step + 1e-9)
-    if steps >= 10_000:
-        raise DomainError(f"the x-grid would have {steps + 1} points; at most 10000 are allowed")
+    if steps >= MAX_SIZE:
+        raise DomainError(f"the x-grid would have {steps + 1} points; at most {MAX_SIZE} are allowed")
+    _check_size("--m-max", args.m_max)
 
     scenario = ClusterModel(args.lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=args.beta)
     gamma = mark_gamma(mark)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DivergentIntegral, DomainError
 from .marks import MarkLaw
-from .progeny import OffspringLaw, progeny_moment_closed
+from .progeny import OffspringLaw, progeny_moment_table
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,8 @@ def cluster_bounds_for_law(
     """Compound cluster bounds for any offspring law with 4 moments: the
     exact E Z^3 and E Z^4 of its cascade sizes fed to
     ``compound_cluster_bounds``, so the echo reads "compound-cluster"."""
-    return compound_cluster_bounds(
-        region,
-        mark,
-        progeny_moment_closed(law, 3),
-        progeny_moment_closed(law, 4),
-    )
+    _, _, ez3, ez4 = progeny_moment_table(law, 4).moments
+    return compound_cluster_bounds(region, mark, ez3, ez4)
 
 
 def hertzian_integral(R: float, alpha: float, m: int) -> float:

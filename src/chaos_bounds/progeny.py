@@ -9,12 +9,14 @@ independent copies Z_j, so M(t) = E e^{tZ} solves the fixed point
 in the factorial moments E(P)_i = E[P(P-1)...(P-i+1)] (the total-progeny /
 Lagrange-inversion view of Dwass 1969).  ``progeny_moment`` and
 ``progeny_moment_table`` read E Z^1..E Z^n off its power series, one order
-at a time, in O(n^3) total work.
+at a time, in O(n^3) total work; every E Z^n the package uses comes from
+this one recursion.
 
-Two independent routes stay as oracles: ``progeny_moment_closed`` holds the
-closed expressions for n <= 4, and ``progeny_moment_series`` sums k^m
-against the total-progeny pmf, which is Borel for the Poisson(h) cascade and
-Consul for the Binomial(h, p) cascade.
+Each offspring law owns what depends on its family: its mean, its factorial
+moments, its generation step (the sampler's draw of a generation's
+children) and the pmf of its cascade's total progeny.  That pmf is Borel for
+the Poisson(h) cascade and Consul for the Binomial(h, p) cascade, and
+``progeny_moment_series`` sums k^m against it as an independent oracle.
 """
 from __future__ import annotations
 
@@ -22,8 +24,9 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from itertools import takewhile
 from operator import mul
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import (
     DomainError,
@@ -31,6 +34,9 @@ from .errors import (
     NoConvergence,
     SupercriticalError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # (1 - E P) appears in denominators raised to high powers, so anything closer
 # to criticality than this is rejected rather than silently overflowing.
@@ -61,6 +67,20 @@ class PoissonMean:
     def mean(self) -> float:
         return self.h
 
+    def factorial_moments(self, n: int) -> list[float]:
+        """[E(P)_1, ..., E(P)_n], E(P)_i = h^i."""
+        return [self.h ** i for i in range(1, n + 1)]
+
+    def next_generation(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The parent index of every child of n individuals, by Poisson
+        splitting: Poisson(n h) children in all, each given a uniform parent,
+        which is exactly n independent Poisson(h) counts."""
+        return rng.integers(0, n, rng.poisson(self.h * n))
+
+    def pmf(self, k: int) -> float:
+        """P(Z = k) of the cascade's total progeny (Borel)."""
+        return borel_pmf(self.h, k)
+
     def describe(self) -> dict:
         return {"family": "poisson", "h": self.h}
 
@@ -83,6 +103,26 @@ class Binomial:
     def mean(self) -> float:
         return self.h * self.p
 
+    def factorial_moments(self, n: int) -> list[float]:
+        """[E(P)_1, ..., E(P)_n], E(P)_i = (h)_i p^i with the falling
+        factorial (h)_i = 0 once i > h."""
+        out, falling = [], 1.0
+        for i in range(1, n + 1):
+            falling *= max(self.h - i + 1, 0)
+            out.append(falling * self.p ** i)
+        return out
+
+    def next_generation(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The parent index of every child of n individuals: one Binomial(h, p)
+        count per parent."""
+        import numpy as np
+
+        return np.repeat(np.arange(n), rng.binomial(self.h, self.p, n))
+
+    def pmf(self, k: int) -> float:
+        """P(Z = k) of the cascade's total progeny (Consul)."""
+        return consul_pmf(self.h, self.p, k)
+
     def describe(self) -> dict:
         return {"family": "binomial", "h": self.h, "p": self.p}
 
@@ -92,7 +132,7 @@ class FactorialMoments:
     """Offspring given by its factorial moments; entry i (0-based) is E(P)_{i+1}.
 
     The degenerate all-zero list (P = 0, so Z = 1) is allowed and handy as a
-    trivial oracle.
+    trivial oracle; it is also the only such law that can be sampled.
     """
 
     values: tuple[float, ...]
@@ -108,6 +148,32 @@ class FactorialMoments:
     def mean(self) -> float:
         return self.values[0]
 
+    def factorial_moments(self, n: int) -> list[float]:
+        """The first n stored values."""
+        if n > len(self.values):
+            raise InsufficientMoments(
+                f"law stores {len(self.values)} factorial moments, {n} requested"
+            )
+        return list(self.values[:n])
+
+    def check_samplable(self) -> None:
+        """Raise unless this is the all-zero law, the only one with a sampler."""
+        if any(v != 0 for v in self.values):
+            raise DomainError(
+                "a bare factorial-moment sequence has no sampler; "
+                "only the all-zero (compound Poisson) case can be simulated"
+            )
+
+    def next_generation(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """No children and no draws (the all-zero law)."""
+        import numpy as np
+
+        self.check_samplable()
+        return np.arange(0)
+
+    def pmf(self, k: int) -> float:
+        raise DomainError("no closed pmf for a bare factorial-moment sequence")
+
     def describe(self) -> dict:
         return {"family": "factorial-moments", "values": list(self.values)}
 
@@ -116,31 +182,10 @@ OffspringLaw = Union[PoissonMean, Binomial, FactorialMoments]
 
 
 def factorial_moments(law: OffspringLaw, n_max: int) -> list[float]:
-    """[E(P)_1, ..., E(P)_{n_max}] for the offspring variable P.
-
-    Poisson(h): E(P)_i = h^i.  Binomial(h, p): E(P)_i = (h)_i p^i with the
-    falling factorial (h)_i = 0 once i > h.  A stored list is echoed.
-    """
+    """[E(P)_1, ..., E(P)_{n_max}] for the offspring variable P."""
     if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
         raise DomainError("n_max must be an integer >= 1")
-    if isinstance(law, PoissonMean):
-        return [law.h ** i for i in range(1, n_max + 1)]
-    if isinstance(law, Binomial):
-        out = []
-        for i in range(1, n_max + 1):
-            if i > law.h:
-                out.append(0.0)
-            else:
-                falling = 1.0
-                for j in range(i):
-                    falling *= law.h - j
-                out.append(falling * law.p ** i)
-        return out
-    if n_max > len(law.values):
-        raise InsufficientMoments(
-            f"law stores {len(law.values)} factorial moments, {n_max} requested"
-        )
-    return list(law.values[:n_max])
+    return law.factorial_moments(n_max)
 
 
 def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
@@ -159,7 +204,9 @@ def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
         raise DomainError("moment order must be an integer >= 1")
     ep = law.mean
     _check_mean(ep)
-    inv_fact = [1 / math.factorial(j) for j in range(n + 1)]
+    # 1/j! is 0.0 in float64 from j = 178 on, so only its nonzero head is computed
+    inv_fact = list(takewhile(bool, (1 / math.factorial(j) for j in range(n + 1))))
+    inv_fact += [0.0] * (n + 1 - len(inv_fact))
     f = [1.0] + [v * inv_fact[i] for i, v in enumerate(factorial_moments(law, n), 1)]
     while len(f) > 2 and f[-1] == 0.0:
         f.pop()
@@ -212,43 +259,6 @@ class ProgenyMomentTable:
 
 def progeny_moment_table(law: OffspringLaw, n_max: int) -> ProgenyMomentTable:
     return ProgenyMomentTable(n_max=n_max, moments=tuple(_moment_sequence(law, n_max)))
-
-
-def progeny_moment_closed(law: OffspringLaw, n: int) -> float:
-    """E Z^n for n <= 4 from the closed expressions in E(P)_i and Var P."""
-    if n not in (1, 2, 3, 4):
-        raise DomainError("closed forms cover n in {1, 2, 3, 4}")
-    ep = law.mean
-    _check_mean(ep)
-    d = 1.0 - ep
-    if n == 1:
-        return 1.0 / d
-    epi = factorial_moments(law, n)
-    e2 = epi[1]
-    varp = e2 + ep - ep * ep
-    ez2 = (varp + d) / d ** 3
-    if n == 2:
-        return ez2
-    e3 = epi[2]
-    ez3 = (1.0 / d) * (
-        1.0
-        + 3.0 * ep / d
-        + 3.0 * e2 / d ** 2
-        + (e3 + 3.0 * varp) / d ** 3
-        + 3.0 * varp ** 2 / d ** 4
-    )
-    if n == 3:
-        return ez3
-    e4 = epi[3]
-    return (1.0 / d) * (
-        1.0
-        + 4.0 * ep / d
-        + 6.0 * e2 / d ** 2
-        + 4.0 * e3 / d ** 3
-        + e4 / d ** 4
-        + 3.0 * ez2 * (2.0 * ep + 4.0 * e2 / d + e2 * ez2 + 2.0 * e3 / d ** 2)
-        + 4.0 * ez3 * varp / d
-    )
 
 
 def borel_pmf(h: float, k: int) -> float:

@@ -6,9 +6,10 @@ owns its chunk sampler (``sample``), its expected point count
 Gaussian bounds (``bounds``), so the verify drivers never ask its type.
 
 Cluster windows and progeny cascades are exact: both grow one generation at
-a time through ``_next_generation``.  Interference fields are truncated at a
-radius whose discarded far field has mean at most ``tail_eps``; that mean is
-added back, so the total's mean is exact but its variance is not
+a time through the offspring law's own generation step
+(``law.next_generation``).  Interference fields are truncated at a radius
+whose discarded far field has mean at most ``tail_eps``; that mean is added
+back, so the total's mean is exact but its variance is not
 (``InterferenceModel``).
 
 Each verify command simulates one pass through one driver, ``_replicate``,
@@ -47,8 +48,7 @@ from .progeny import (
     FactorialMoments,
     OffspringLaw,
     PoissonMean,
-    factorial_moments,
-    progeny_moment,
+    progeny_moment_table,
 )
 
 _CHUNK_REPS = 4096
@@ -85,13 +85,8 @@ class ClusterModel:
             raise DomainError("horizon must be positive and finite")
         if not isinstance(self.offspring, (PoissonMean, Binomial, FactorialMoments)):
             raise DomainError(f"unsupported offspring law: {self.offspring!r}")
-        if isinstance(self.offspring, FactorialMoments) and any(
-            v != 0 for v in self.offspring.values
-        ):
-            raise DomainError(
-                "a bare factorial-moment sequence has no sampler; "
-                "only the all-zero (compound Poisson) case can be simulated"
-            )
+        if isinstance(self.offspring, FactorialMoments):
+            self.offspring.check_samplable()
         if isinstance(self.mark, CustomAbsMoments):
             raise DomainError("a moment-only mark law cannot be sampled")
         if not (self.delay_rate > 0 and math.isfinite(self.delay_rate)):
@@ -102,7 +97,7 @@ class ClusterModel:
     @property
     def expected_points(self) -> float:
         """lam T / (1 - E P): a window's expected points before censoring."""
-        return self.lam * self.horizon / (1.0 - factorial_moments(self.offspring, 1)[0])
+        return self.lam * self.horizon / (1.0 - self.offspring.mean)
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Mark totals of ``size`` independent windows.  Every point carries its
@@ -121,7 +116,7 @@ class ClusterModel:
         kept = [labels]
         total, counted, counts = labels.size, 0, np.zeros(size, dtype=np.int64)
         while times.size:
-            parent = _next_generation(self.offspring, rng, times.size)
+            parent = self.offspring.next_generation(rng, times.size)
             times = times[parent] + rng.exponential(1.0 / self.delay_rate, parent.size)
             inside = times <= T
             times, labels = times[inside], labels[parent[inside]]
@@ -154,7 +149,7 @@ class ClusterModel:
         + (c1 (e1 - rT e^{-rT}) + c2 (e1 - e2/2)) / r^2.
         """
         T, beta = self.horizon, self.delay_rate
-        m, g2 = factorial_moments(self.offspring, 2)
+        m, g2 = self.offspring.factorial_moments(2)
         mu1, mu2 = self.mark.mean, self.mark.abs_moment(2)
         r, A = beta * (1.0 - m), mu1 / (1.0 - m)
         e1, e2 = -math.expm1(-r * T), -math.expm1(-2.0 * r * T)
@@ -274,22 +269,6 @@ class InterferenceModel:
 # samplers
 
 
-def _next_generation(law: OffspringLaw, rng, n: int) -> np.ndarray:
-    """The parent index of every child of a generation of n individuals, so
-    each child carries its parent's entry (a birth time, or a label).
-
-    Poisson offspring are split: Poisson(n h) children in all, each given a
-    uniform parent, which is exactly n independent Poisson(h) counts.
-    Binomial offspring draw one count per parent."""
-    if isinstance(law, PoissonMean):
-        return rng.integers(0, n, rng.poisson(law.h * n))
-    if isinstance(law, Binomial):
-        return np.repeat(np.arange(n), rng.binomial(law.h, law.p, n))
-    if any(v != 0 for v in law.values):
-        raise DomainError("a bare factorial-moment sequence has no sampler")
-    return np.arange(0)  # the all-zero FactorialMoments law: no children, no draws
-
-
 def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
     """Draw one total-progeny count (the root included) of a cascade."""
     return int(_sample_progeny_block(law, rng, 1, cap)[0])
@@ -301,7 +280,7 @@ def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int = 10 ** 7)
     total = np.ones(size, dtype=np.int64)
     labels = np.arange(size)
     while labels.size:
-        labels = labels[_next_generation(law, rng, labels.size)]
+        labels = labels[law.next_generation(rng, labels.size)]
         total += np.bincount(labels, minlength=size)
         if int(total.max()) > cap:
             raise CapExceeded(f"total progeny exceeded cap {cap}")
@@ -536,10 +515,11 @@ def verify_moments(
     offspring: OffspringLaw, n_draws: int, seed: int, workers: int = 1
 ) -> VerificationReport:
     """Draw n_draws cascade totals and compare the first three empirical
-    moments of Z with the recursion values, at 4 standard errors each."""
+    moments of Z with the recursion values, at 4 exact standard errors each:
+    se_m = sqrt((E Z^{2m} - (E Z^m)^2) / n_draws), all from one table."""
     if n_draws < 2:
         raise DomainError("n_draws must be >= 2")
-    theory = {m: progeny_moment(offspring, m) for m in (1, 2, 3)}
+    exact = progeny_moment_table(offspring, 6).moments
     # the lambda reads the module's _sample_progeny_block at each call, so a
     # wrapper installed on that name sees every block
     draws = _replicate(
@@ -547,16 +527,15 @@ def verify_moments(
         _CHUNK_REPS, n_draws, seed, workers,
     ).astype(float)
 
-    emp = {m: float(np.mean(draws ** m)) for m in range(1, 7)}
     checks = []
     passed = True
-    for m, want in theory.items():
-        se = math.sqrt(max(emp[2 * m] - emp[m] ** 2, 0.0) / n_draws)
-        ok = abs(emp[m] - want) <= 4.0 * se
+    for m in (1, 2, 3):
+        want = exact[m - 1]
+        emp = float(np.mean(draws ** m))
+        se = math.sqrt(max(exact[2 * m - 1] - want ** 2, 0.0) / n_draws)
+        ok = abs(emp - want) <= 4.0 * se
         passed = passed and ok
-        checks.append(
-            {"m": m, "empirical": emp[m], "theory": want, "se": se, "ok": ok}
-        )
+        checks.append({"m": m, "empirical": emp, "theory": want, "se": se, "ok": ok})
     details = {
         "n_draws": n_draws,
         "seed": seed,

@@ -33,7 +33,6 @@ from chaos_bounds import (
     insurance_tail_report,
     mark_abs_moments,
     progeny_moment,
-    progeny_moment_closed,
     progeny_moment_series,
     progeny_moment_table,
     check_cumulant_condition,
@@ -41,6 +40,8 @@ from chaos_bounds import (
     verify_gaussian_bound,
     Region,
 )
+
+from progeny_oracles import progeny_moment_closed
 
 SEED = 1
 H_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]

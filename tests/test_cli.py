@@ -252,7 +252,8 @@ def test_verify_bci_rejects_grid_before_simulating(grid, monkeypatch):
 
 
 def test_verify_moments_rejects_law_before_simulating(monkeypatch):
-    # factorial:0 samples (no offspring) but stores too few moments for E Z^2
+    # factorial:0 samples (no offspring) but stores too few moments for the
+    # exact standard errors, which need E Z^1..E Z^6
     from chaos_bounds import simulate
 
     def no_simulation(*args, **kw):
@@ -261,7 +262,50 @@ def test_verify_moments_rejects_law_before_simulating(monkeypatch):
     monkeypatch.setattr(simulate, "_replicate", no_simulation)
     code, out, err = run_main("verify", "moments", "--offspring", "factorial:0", "--reps", "10")
     assert code == 2, err
-    assert out == "" and err == "error: law stores 1 factorial moments, 2 requested\n"
+    assert out == "" and err == "error: law stores 1 factorial moments, 6 requested\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments factorial --offspring poisson:0.5 --n 10001",
+        "moments gw --offspring poisson:0.5 --n 10001",
+        "moments pmf --offspring poisson:0.5 --k-max 10001",
+        "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --m-max 10001",
+        "verify bci --h 0.5 --T 10 --reps 10 --m-max 10001",
+    ],
+)
+def test_order_and_length_flags_are_capped(argv):
+    code, out, err = run_main(*argv.split())
+    assert code == 2 and out == "", err
+    assert f"above the limit of {cli.MAX_SIZE}" in err
+
+
+def test_order_flag_at_the_cap_runs():
+    code, out, err = run_main("moments", "factorial", "--offspring", "poisson:0.5", "--n", "10000")
+    assert code == 0, err
+    assert len(json.loads(out)["factorial_moments"]) == cli.MAX_SIZE
+
+
+HAWKES_LAWS = [
+    "poisson:0.1", "poisson:0.3", "poisson:0.5", "poisson:0.7", "poisson:0.9",
+    "binomial:1,0.3", "binomial:1,0.7", "binomial:2,0.25", "binomial:3,0.2", "binomial:5,0.15",
+]
+
+
+@pytest.mark.parametrize("law", HAWKES_LAWS)
+def test_hawkes_bounds_echo_the_gw_moments(law):
+    # the cluster bounds and moments gw read E Z^3, E Z^4 from one recursion
+    family, _, params = law.partition(":")
+    h, _, p = params.partition(",")
+    law_flags = ["--h", h] + (["--p", p] if p else [])
+    code, out, err = run_main("bounds", f"hawkes-{family}", "--lambda", "1", "--leb", "1e6", *law_flags)
+    assert code == 0, err
+    echo = json.loads(out)["inputs"]
+    code, out, err = run_main("moments", "gw", "--offspring", law, "--n", "4")
+    assert code == 0, err
+    moments = json.loads(out)["moments"]
+    assert (echo["ez3"], echo["ez4"]) == (moments[2], moments[3])
 
 
 def test_verification_failure_exit_3_with_report():

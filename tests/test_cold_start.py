@@ -19,6 +19,9 @@ CALCULATORS = (
     "tail bci --gamma 0 --delta 100 --x 10",
     "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36",
     "bounds hawkes-poisson --lambda 1 --leb 1e6 --h 0.5",
+    "bounds hawkes-binomial --lambda 1 --leb 1e6 --h 3 --p 0.2",
+    "moments pmf --offspring binomial:3,0.2 --k-max 5",
+    "moments factorial --offspring binomial:3,0.2 --n 4",
 )
 VERIFY = "verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1"
 
@@ -47,7 +50,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([codes, calculators, loaded()]))
 """)
     codes, after_calculators, after_verify = got
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * (len(CALCULATORS) + 1)
     assert after_calculators == []
     assert after_verify == list(HEAVY)
 

@@ -29,7 +29,7 @@ from chaos_bounds import (
     first_chaos_bounds,
     hertzian_integral,
     interference_bounds,
-    progeny_moment_closed,
+    progeny_moment_table,
     shotnoise_bounds,
 )
 
@@ -130,9 +130,8 @@ scales = st.floats(1e-3, 1e3)
 def test_cluster_bounds_for_law_is_compound_cluster_bounds(region, law, mark):
     family, param = mark
     m = family(param)
-    want = compound_cluster_bounds(
-        region, m, progeny_moment_closed(law, 3), progeny_moment_closed(law, 4)
-    )
+    _, _, ez3, ez4 = progeny_moment_table(law, 4).moments
+    want = compound_cluster_bounds(region, m, ez3, ez4)
     assert cluster_bounds_for_law(region, law, m) == want
 
 

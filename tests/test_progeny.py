@@ -27,10 +27,11 @@ from chaos_bounds import (
     consul_pmf,
     factorial_moments,
     progeny_moment,
-    progeny_moment_closed,
     progeny_moment_series,
     progeny_moment_table,
 )
+
+from progeny_oracles import progeny_moment_closed
 
 
 def rel_err(a, b):
@@ -264,6 +265,20 @@ def test_overflow_names_first_order(law):
     assert 2.0 * b - a > math.log(sys.float_info.max)
 
 
+def test_inverse_factorials_stop_where_they_reach_zero(monkeypatch):
+    # 1/j! is 0.0 in float64 from j = 178 on, so the recursion takes the
+    # factorials of 0..178 for its coefficients and one more per order it
+    # reaches: a table asked to order 10000 stops at the float-range error
+    # of order 130 after 179 + 130 factorials, not 10001 + 130
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda j: calls.append(j) or factorial(j))
+    with pytest.raises(DomainError, match=r"E Z\^130 "):
+        progeny_moment_table(PoissonMean(0.5), 10_000)
+    assert len(calls) <= 179 + 130
+    assert max(calls) <= 178
+
+
 def test_overflow_is_domain_error():
     with pytest.raises(DomainError, match=r"E Z\^130 "):
         progeny_moment(PoissonMean(0.5), 200)
@@ -345,6 +360,14 @@ def test_borel_pmf_normalizes(h):
 def test_consul_pmf_normalizes(h, p):
     total = sum(consul_pmf(h, p, k) for k in range(1, 3000))
     assert abs(total - 1.0) <= 1e-10
+
+
+def test_law_pmf_is_its_cascade_pmf():
+    for k in (1, 2, 7):
+        assert PoissonMean(0.5).pmf(k) == borel_pmf(0.5, k)
+        assert Binomial(3, 0.2).pmf(k) == consul_pmf(3, 0.2, k)
+    with pytest.raises(DomainError, match="no closed pmf"):
+        FactorialMoments((0.5,)).pmf(1)
 
 
 def test_pmf_validation():

@@ -31,6 +31,7 @@ from chaos_bounds import (
     empirical_wasserstein,
     hertzian_integral,
     progeny_moment,
+    progeny_moment_table,
     sample_progeny,
     UniformMark,
     verify_bci,
@@ -532,6 +533,51 @@ def test_verify_moments_worker_determinism():
     b = verify_moments(PoissonMean(0.5), 10000, seed=5, workers=3)
     assert np.array_equal(a.samples, b.samples)
     assert a.details == b.details
+
+
+def test_verify_moments_false_fail_rate():
+    # 200 draws of Poisson(0.5) over 400 seeds: the 4-se gate fails 2 of them
+    # at the exact standard errors (Z^3 is skewed, so more than a Gaussian
+    # 1/16000), where plug-in standard errors failed 36
+    failures = sum(not verify_moments(PoissonMean(0.5), 200, seed=s).passed for s in range(400))
+    assert failures <= 8
+
+
+@dataclasses.dataclass(frozen=True)
+class OneChildWithProbability:
+    """A law with only a mean, factorial moments and a generation step: one
+    child with probability q, else none."""
+
+    q: float
+
+    @property
+    def mean(self) -> float:
+        return self.q
+
+    def factorial_moments(self, n: int) -> list:
+        return [self.q] + [0.0] * (n - 1)
+
+    def next_generation(self, rng, n: int) -> np.ndarray:
+        return np.flatnonzero(rng.random(n) < self.q)
+
+
+def test_a_law_needs_only_its_mean_factorial_moments_and_generation_step():
+    law = OneChildWithProbability(0.3)
+    table = progeny_moment_table(law, 2)
+    assert table.moments == progeny_moment_table(Binomial(1, 0.3), 2).moments
+    draws = simulate._sample_progeny_block(law, np.random.default_rng(1), 20000)
+    ez, ez2 = table.moments
+    assert abs(draws.mean() - ez) <= 4.0 * math.sqrt((ez2 - ez * ez) / draws.size)
+
+
+def test_only_the_all_zero_factorial_law_samples():
+    law = FactorialMoments((0.5, 0.1))
+    message = "a bare factorial-moment sequence has no sampler"
+    with pytest.raises(DomainError, match=message):
+        ClusterModel(1.0, 1.0, law)
+    with pytest.raises(DomainError, match=message):
+        sample_progeny(law, np.random.default_rng(0))
+    assert sample_progeny(FactorialMoments((0.0,)), np.random.default_rng(0)) == 1
 
 
 def test_verify_gaussian_bound_compound_poisson():
