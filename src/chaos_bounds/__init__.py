@@ -68,7 +68,6 @@ from .deviations import (
     delta_binomial,
     delta_poisson,
     insurance_tail_report,
-    mark_gamma,
     mdp_rate_inf,
     nacc_window,
     total_loss_interval,

@@ -35,7 +35,6 @@ from .deviations import (
     delta_binomial,
     delta_poisson,
     insurance_tail_report,
-    mark_gamma,
     mdp_rate_inf,
     nacc_window,
     total_loss_interval,
@@ -239,7 +238,7 @@ def _cmd_tail_cumulant(args):
     mark = parse_mark(args.mark)
     gamma = args.gamma
     if gamma is None:  # no static default: the mark law's own gamma
-        gamma = mark_gamma(mark)
+        gamma = mark.gamma
     law = parse_offspring(args.offspring)
     report = cumulant_condition_for_law(mark, law, args.lambda_leb, gamma, args.delta, args.m_max)
     return dict(report.to_dict(), gamma=gamma, delta=args.delta)
@@ -364,7 +363,7 @@ def _cmd_verify_bci(args):
     _check_size("--m-max", args.m_max)
 
     scenario = ClusterModel(args.lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=args.beta)
-    gamma = mark_gamma(mark)
+    gamma = mark.gamma
     base = delta_poisson(args.h, args.lam * args.T, gamma)
     report = verify_bci(
         scenario,

@@ -1,8 +1,10 @@
 """Concentration parameters and explicit tail bounds.
 
 Two numbers drive every tail estimate here.  ``gamma`` measures how fast the
-absolute moments of the mark law may grow (E|M|^m <= (m!)^gamma (E M^2)^(m/2)),
-and ``delta`` calibrates the cumulant growth of the standardized cluster sum:
+absolute moments of the mark law may grow (E|M|^m <= (m!)^gamma (E M^2)^(m/2));
+each named mark law carries its own as ``mark.gamma``, and
+``verify_mark_gamma`` checks a candidate for a moment list.  ``delta``
+calibrates the cumulant growth of the standardized cluster sum:
 
     |cumulant_m| <= (m!)^(1+gamma) / delta^(m-2)   for m >= 3.
 
@@ -19,22 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import (
-    DomainError,
-    EmptyInterval,
-    InsufficientMoments,
-    RegimeError,
-    UnknownFamily,
-)
-from .marks import (
-    CenteredGaussianMark,
-    ConstantMark,
-    CustomAbsMoments,
-    ExponentialMark,
-    MarkLaw,
-    UniformMark,
-    mark_abs_moments,
-)
+from .errors import DomainError, EmptyInterval, InsufficientMoments, RegimeError
+from .marks import MarkLaw, mark_abs_moments
 from .progeny import Binomial, OffspringLaw, PoissonMean, progeny_moment_table
 
 _INV_E = math.exp(-1.0)
@@ -50,22 +38,6 @@ class DeviationParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def mark_gamma(mark: MarkLaw) -> float:
-    """Moment-growth exponent gamma for the built-in mark families."""
-    if isinstance(mark, ConstantMark):
-        return 0.0
-    if isinstance(mark, CenteredGaussianMark):
-        return 0.5
-    if isinstance(mark, (UniformMark, ExponentialMark)):
-        return 1.0
-    if isinstance(mark, CustomAbsMoments):
-        raise UnknownFamily(
-            "no closed-form gamma for a custom moment list; "
-            "check a candidate with verify_mark_gamma"
-        )
-    raise UnknownFamily(f"unsupported mark law: {mark!r}")
 
 
 def verify_mark_gamma(
@@ -299,7 +271,9 @@ def mdp_rate_inf(interval: tuple[float, float]) -> float:
     return edge * edge / 2.0
 
 
-def _insurance_checks(lam: float, h: float, mu_mean: float, T: float) -> float:
+def _insurance_checks(lam: float, h: float, mu_mean: float, T: float, strict: bool) -> bool:
+    """Check the inputs both corollaries share and return regime_ok; with
+    strict=True a regime violation raises instead."""
     if not (lam > 0 and math.isfinite(lam)):
         raise DomainError("lam must be positive and finite")
     if not (0.0 < h < 1.0):
@@ -308,7 +282,14 @@ def _insurance_checks(lam: float, h: float, mu_mean: float, T: float) -> float:
         raise DomainError("mu_mean must be positive and finite")
     if not (T > 0 and math.isfinite(T)):
         raise DomainError("T must be positive and finite")
-    return h - 1.0 - math.log(h)
+    nu = h - 1.0 - math.log(h)
+    if strict and nu < 1.0:
+        raise RegimeError(
+            f"h - 1 - log h = {nu} < 1, outside the regime this corollary "
+            "hard-codes; use bci_bound with your own (gamma, delta) instead, "
+            "or pass strict=False to compute the formulas anyway"
+        )
+    return nu >= 1.0
 
 
 @dataclass(frozen=True)
@@ -344,16 +325,9 @@ def insurance_tail_report(
     The mark scale mu_mean cancels from the standardized deviation, so it
     only rides along in the echo.
     """
-    nu = _insurance_checks(lam, h, mu_mean, T)
     if not (k > 1.0 and math.isfinite(k)):
         raise DomainError("k must be > 1")
-    regime_ok = nu >= 1.0
-    if strict and not regime_ok:
-        raise RegimeError(
-            f"h - 1 - log h = {nu} < 1, outside the regime this report "
-            "hard-codes; use bci_bound with your own (gamma, delta) instead, "
-            "or pass strict=False to compute the formulas anyway"
-        )
+    regime_ok = _insurance_checks(lam, h, mu_mean, T, strict)
     t_threshold = 2 ** 5.5 * h / ((k - 1) ** 3 * lam * (1 - h) ** 1.5)
     lin = (k - 1) ** 2 * lam * (1 - h) * T / 8.0
     sqr = math.sqrt((k - 1) * lam * h * math.sqrt((1 - h) / 2.0) * T)
@@ -399,16 +373,9 @@ def total_loss_interval(
     A negative confidence (x too small for the horizon) is flagged vacuous,
     not clamped.
     """
-    nu = _insurance_checks(lam, h, mu_mean, T)
     if not (x >= 0):
         raise DomainError("x must be >= 0")
-    regime_ok = nu >= 1.0
-    if strict and not regime_ok:
-        raise RegimeError(
-            f"h - 1 - log h = {nu} < 1, outside the regime this interval "
-            "hard-codes; use bci_bound with your own (gamma, delta) instead, "
-            "or pass strict=False to compute the formulas anyway"
-        )
+    regime_ok = _insurance_checks(lam, h, mu_mean, T, strict)
     center = lam * mu_mean * T / (1.0 - h)
     half_width = x * math.sqrt(2.0 * mu_mean ** 2 * lam * T / (1.0 - h) ** 3)
     prob_lower_bound = 1.0 - bci_bound(1.0, h * math.sqrt(lam * T), x)

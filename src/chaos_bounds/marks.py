@@ -2,8 +2,10 @@
 
 A mark law enters every bound only through its absolute moments E|M|^m, so
 each family stores its parameters and answers ``abs_moment(m)`` in closed
-form.  The named families also know their signed mean E M and how to draw
-samples; a moments-only law knows neither.
+form.  The tail bounds also need its moment-growth exponent ``gamma``, with
+E|M|^m <= (m!)^gamma (E M^2)^(m/2) for every m, which each named family
+holds as a class constant.  The named families also know their signed
+mean E M and how to draw samples; a moments-only law knows none of the three.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import DomainError, InsufficientMoments
+from .errors import DomainError, InsufficientMoments, UnknownFamily
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,6 +30,7 @@ class ConstantMark:
     """
 
     value: float
+    gamma = 0.0
 
     def abs_moment(self, m: int) -> float:
         _check_order(m)
@@ -51,6 +54,7 @@ class UniformMark:
     """Mark uniform on [0, upper]."""
 
     upper: float
+    gamma = 1.0
 
     def __post_init__(self):
         if not (self.upper > 0 and math.isfinite(self.upper)):
@@ -76,6 +80,7 @@ class ExponentialMark:
     """Exponential mark with the given mean; E M^m = m! * mean^m."""
 
     mean: float
+    gamma = 1.0
 
     def __post_init__(self):
         if not (self.mean > 0 and math.isfinite(self.mean)):
@@ -97,6 +102,7 @@ class CenteredGaussianMark:
     """N(0, sigma^2) mark; E|M|^m = sigma^m 2^{m/2} Gamma((m+1)/2) / sqrt(pi)."""
 
     sigma: float
+    gamma = 0.5
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
@@ -154,6 +160,13 @@ class CustomAbsMoments:
                 f"order {m} requested, only {len(self.moments)} stored"
             )
         return self.moments[m - 1]
+
+    @property
+    def gamma(self) -> float:
+        raise UnknownFamily(
+            "no closed-form gamma for a custom moment list; pass gamma "
+            "explicitly (checked with verify_mark_gamma)"
+        )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise DomainError("a moments-only mark law cannot be sampled")

@@ -42,7 +42,7 @@ from .gaussian_bounds import (
     hertzian_integral,
     interference_bounds_for_power,
 )
-from .marks import ConstantMark, CenteredGaussianMark, CustomAbsMoments, MarkLaw
+from .marks import ConstantMark, CustomAbsMoments, MarkLaw
 from .progeny import (
     Binomial,
     FactorialMoments,
@@ -200,9 +200,8 @@ class InterferenceModel:
             raise DomainError("tail_eps must be positive and finite")
         if isinstance(self.power, CustomAbsMoments):
             raise DomainError("a moment-only power law cannot be sampled")
-        if isinstance(self.power, CenteredGaussianMark) or (
-            isinstance(self.power, ConstantMark) and self.power.value < 0
-        ):
+        # E P = E|P| exactly when P >= 0 almost surely
+        if self.power.mean != self.power.abs_moment(1):
             raise DomainError("emitted powers must be nonnegative")
 
     @property

@@ -181,6 +181,15 @@ def test_moment_overflow_exit_2():
     assert proc.stdout == ""
 
 
+def test_custom_mark_needs_an_explicit_gamma():
+    argv = "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --mark custom:1,2,6,24"
+    code, out, err = run_main(*argv.split())
+    assert code == 2 and out == ""
+    assert "pass gamma explicitly" in err
+    code, out, err = run_main(*argv.split(), "--gamma", "1", "--m-max", "4")
+    assert code == 0 and json.loads(out)["gamma"] == 1.0
+
+
 @pytest.mark.parametrize("argv", [
     # lam * leb underflows to 0
     "bounds hawkes-poisson --lambda 1e-200 --leb 1e-200 --h 0.5",

@@ -18,10 +18,12 @@ HEAVY = ("numpy", "scipy", "chaos_bounds.simulate")
 CALCULATORS = (
     "tail bci --gamma 0 --delta 100 --x 10",
     "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36",
+    "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --mark gauss:1",
     "bounds hawkes-poisson --lambda 1 --leb 1e6 --h 0.5",
     "bounds hawkes-binomial --lambda 1 --leb 1e6 --h 3 --p 0.2",
     "moments pmf --offspring binomial:3,0.2 --k-max 5",
     "moments factorial --offspring binomial:3,0.2 --n 4",
+    "moments series --offspring binomial:3,0.2 --m 4",
 )
 VERIFY = "verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1"
 

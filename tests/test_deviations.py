@@ -26,7 +26,6 @@ from chaos_bounds import (
     delta_poisson,
     insurance_tail_report,
     mark_abs_moments,
-    mark_gamma,
     mdp_rate_inf,
     nacc_window,
     progeny_moment_table,
@@ -40,12 +39,24 @@ from chaos_bounds import (
 
 
 def test_mark_gamma_families():
-    assert mark_gamma(ConstantMark(2.0)) == 0.0
-    assert mark_gamma(CenteredGaussianMark(1.0)) == 0.5
-    assert mark_gamma(UniformMark(1.0)) == 1.0
-    assert mark_gamma(ExponentialMark(1.0)) == 1.0
+    assert ConstantMark(2.0).gamma == 0.0
+    assert CenteredGaussianMark(1.0).gamma == 0.5
+    assert UniformMark(1.0).gamma == 1.0
+    assert ExponentialMark(1.0).gamma == 1.0
     with pytest.raises(UnknownFamily):
-        mark_gamma(CustomAbsMoments((1.0, 2.0)))
+        CustomAbsMoments((1.0, 2.0)).gamma
+
+
+NAMED_MARKS = [ConstantMark(-3.0), CenteredGaussianMark(2.0), UniformMark(5.0), ExponentialMark(0.5)]
+
+
+@pytest.mark.parametrize("mark", NAMED_MARKS, ids=lambda mark: type(mark).__name__)
+def test_each_mark_meets_its_own_gamma(mark):
+    moments = mark_abs_moments(mark, 40)
+    assert verify_mark_gamma(moments, mark.gamma, 40) == (True, None)
+    if mark.gamma > 0:  # every non-constant family grows faster than gamma = 0
+        ok, first = verify_mark_gamma(moments, 0.0, 40)
+        assert not ok and first is not None
 
 
 def test_verify_mark_gamma_exponential():

@@ -220,13 +220,9 @@ def test_zero_offspring_degenerate():
 def test_moment_table():
     table = progeny_moment_table(PoissonMean(0.5), 4)
     assert table.n_max == 4
-    assert table.moment(1) == 2.0
-    assert rel_err(table.moment(4), 832.0) <= 1e-12
+    assert table.moments[0] == 2.0
+    assert rel_err(table.moments[3], 832.0) <= 1e-12
     assert table.moments == tuple(progeny_moment(PoissonMean(0.5), n) for n in (1, 2, 3, 4))
-    with pytest.raises(InsufficientMoments):
-        table.moment(5)
-    with pytest.raises(InsufficientMoments):
-        table.moment(0)
 
 
 def test_closed_form_order_limit():
@@ -381,6 +377,52 @@ def test_pmf_validation():
         consul_pmf(2, 0.5, 1)
     with pytest.raises(DomainError):
         consul_pmf(2, 0.25, 0)
+
+
+def test_pmf_near_criticality_raises_like_the_laws():
+    with pytest.raises(SupercriticalError):
+        borel_pmf(1.0 - 1e-10, 3)
+    with pytest.raises(SupercriticalError):
+        consul_pmf(2, 0.5 - 1e-10, 3)
+
+
+def test_laws_reject_subnormal_parameters():
+    # a subnormal q = h e^{1-h} keeps a few bits and can fall below the ratio
+    with pytest.raises(DomainError, match="normal float"):
+        PoissonMean(1e-323)
+    with pytest.raises(DomainError, match="normal float"):
+        Binomial(3, 1e-323)
+    assert PoissonMean(sys.float_info.min).h == sys.float_info.min
+
+
+def test_factorial_law_has_no_pmf_members():
+    law = FactorialMoments((0.5,))
+    with pytest.raises(DomainError, match="no closed pmf"):
+        law.log_pmf(1)
+    with pytest.raises(DomainError, match="no closed pmf"):
+        law.pmf_ratio_bound
+
+
+# The series' certified tail rests on pmf(j+1)/pmf(j) <= q e^{c/k} for all
+# j >= k; k = j is the tightest case.  At h = 1 the bound is an equality
+# (the pmf is geometric with ratio p), and log-gamma rounding puts the
+# computed ratio up to ~1e-11 above it, hence the slack.  Both laws reject
+# subnormal parameters, so the draws cover their whole domains.
+ratio_laws = st.one_of(
+    st.builds(PoissonMean, st.floats(sys.float_info.min, 0.99)),
+    st.integers(1, 50).flatmap(
+        lambda h: st.builds(Binomial, st.just(h), st.floats(sys.float_info.min, (1.0 - 2e-9) / h))
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=ratio_laws)
+def test_pmf_ratio_bound_holds(law):
+    q, c = law.pmf_ratio_bound
+    log_q = math.log(q)
+    for j in range(1, 2001):
+        assert law.log_pmf(j + 1) - law.log_pmf(j) <= log_q + c / j + 1e-9, j
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,19 @@ def test_interference_model_validation():
         InterferenceModel(1.0, 1.0, 4.0, tail_eps=0.0)
 
 
+@pytest.mark.parametrize(
+    "power", [ConstantMark(0.0), ConstantMark(-0.0), UniformMark(2.0), ExponentialMark(1.0)]
+)
+def test_interference_model_accepts_nonnegative_powers(power):
+    # the sign rule is E P = E|P|, which every nonnegative family meets exactly
+    assert InterferenceModel(1.0, 1.0, 4.0, power=power).power is power
+
+
+def test_interference_model_rejects_a_nan_power():
+    with pytest.raises(DomainError, match="nonnegative"):
+        InterferenceModel(1.0, 1.0, 4.0, power=ConstantMark(math.nan))
+
+
 def test_interference_truncation_radius():
     m = InterferenceModel(50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
     # rho solves 2 pi lam E P rho^{2-alpha} / (alpha-2) = tail_eps
