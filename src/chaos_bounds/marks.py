@@ -5,7 +5,9 @@ each family stores its parameters and answers ``abs_moment(m)`` in closed
 form.  The tail bounds also need its moment-growth exponent ``gamma``, with
 E|M|^m <= (m!)^gamma (E M^2)^(m/2) for every m, which each named family
 holds as a class constant.  The named families also know their signed
-mean E M and how to draw samples; a moments-only law knows none of the three.
+mean E M and how to draw samples, and ``total(rng, counts)`` draws the sums
+of counts[i] iid marks, exactly in law; a moments-only law knows none of
+these.
 """
 from __future__ import annotations
 
@@ -45,6 +47,9 @@ class ConstantMark:
 
         return np.full(size, float(self.value))
 
+    def total(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        return float(self.value) * counts
+
     def describe(self) -> dict:
         return {"family": "constant", "value": self.value}
 
@@ -71,6 +76,9 @@ class UniformMark:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(0.0, self.upper, size)
 
+    def total(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        return segment_sums(self.sample(rng, int(counts.sum())), counts)
+
     def describe(self) -> dict:
         return {"family": "uniform", "upper": self.upper}
 
@@ -92,6 +100,10 @@ class ExponentialMark:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(self.mean, size)
+
+    def total(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        # a sum of n iid exponentials is Gamma(n, mean)
+        return rng.gamma(counts, self.mean)
 
     def describe(self) -> dict:
         return {"family": "exponential", "mean": self.mean}
@@ -123,6 +135,11 @@ class CenteredGaussianMark:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)
+
+    def total(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return rng.normal(0.0, self.sigma * np.sqrt(counts))
 
     def describe(self) -> dict:
         return {"family": "gaussian", "sigma": self.sigma}
@@ -171,6 +188,9 @@ class CustomAbsMoments:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise DomainError("a moments-only mark law cannot be sampled")
 
+    def total(self, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+        raise DomainError("a moments-only mark law cannot be sampled")
+
     def describe(self) -> dict:
         return {"family": "custom", "abs_moments": list(self.moments)}
 
@@ -183,6 +203,20 @@ MarkLaw = Union[
 def _check_order(m: int) -> None:
     if not (isinstance(m, numbers.Integral) and m >= 1):
         raise DomainError("moment order must be an integer >= 1")
+
+
+def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of ``values``, run i ``counts[i]`` long;
+    a zero-length run sums to 0.0."""
+    import numpy as np
+
+    counts = np.asarray(counts)
+    sums = np.zeros(counts.size)
+    nonempty = counts > 0
+    starts = np.cumsum(counts) - counts
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return sums
 
 
 def mark_abs_moments(mark: MarkLaw, m_max: int) -> list[float]:

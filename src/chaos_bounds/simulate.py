@@ -14,12 +14,14 @@ back, so the total's mean is exact but its variance is not
 
 Each verify command simulates one pass through one driver, ``_replicate``,
 and the Gaussian and tail checks standardize it exactly (``mean_var``).
-Cascades come ``_CHUNK_REPS`` to a chunk, windows and fields as many as
-keep a chunk's expected points under ``_CHUNK_POINTS`` (``_simulate_batch``).
-Inside a chunk every point carries its replication's label and one
-``np.bincount`` gives the totals.  Determinism: chunk c draws from its own
-``default_rng([seed, c])`` stream and chunks are placed by index, so output
-is byte-identical for any worker count.
+A chunk holds ``_CHUNK_POINTS`` cascades, or as many windows or fields as
+keep its expected points under ``_CHUNK_POINTS`` (``_simulate_batch``).
+A chunk of fields sums its points' signals by segment (``segment_sums``);
+a chunk of windows counts each window's points and draws their mark totals
+at once (``mark.total``), so neither builds per-point marks with labels.
+Determinism: chunk c draws from its own ``default_rng([seed, c])`` stream
+and chunks are placed by index, so output is byte-identical for any worker
+count.
 
 scipy is imported by the empirical distances when they first run, so the
 samplers and ``verify_moments`` never load it.
@@ -42,7 +44,7 @@ from .gaussian_bounds import (
     hertzian_integral,
     interference_bounds_for_power,
 )
-from .marks import ConstantMark, CustomAbsMoments, MarkLaw
+from .marks import ConstantMark, CustomAbsMoments, MarkLaw, segment_sums
 from .progeny import (
     Binomial,
     FactorialMoments,
@@ -51,7 +53,6 @@ from .progeny import (
     progeny_moment_table,
 )
 
-_CHUNK_REPS = 4096
 _CHUNK_POINTS = 2 ** 15
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -101,11 +102,14 @@ class ClusterModel:
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Mark totals of ``size`` independent windows.  Every point carries its
-        window's label.  Draw order is fixed: immigrant counts, immigrant times,
-        then per generation (parents, delays), then all marks in one block.
+        window's label while the cascades grow.  Draw order is fixed: immigrant
+        counts, immigrant times, then per generation (parents, delays), and
+        last the windows' mark totals, drawn from their point counts by
+        ``mark.total``.
 
-        ``progeny_cap`` bounds each window's population, not the chunk's; the
-        per-window counts are kept only once the chunk's total passes the cap.
+        ``progeny_cap`` bounds each window's population, not the chunk's; each
+        generation's labels are counted per window as soon as the chunk's total
+        passes the cap, and otherwise all at once after the last generation.
         """
         T, cap = self.horizon, self.progeny_cap
         n0 = rng.poisson(self.lam * T, size)
@@ -113,8 +117,9 @@ class ClusterModel:
             raise CapExceeded(f"window population exceeded progeny_cap {cap}")
         labels = np.repeat(np.arange(size), n0)
         times = rng.uniform(0.0, T, labels.size)
-        kept = [labels]
-        total, counted, counts = labels.size, 0, np.zeros(size, dtype=np.int64)
+        # counts holds the immigrants and every generation counted so far;
+        # kept, the labels of the generations not yet counted
+        counts, kept, total = n0.astype(np.int64), [], labels.size
         while times.size:
             parent = self.offspring.next_generation(rng, times.size)
             times = times[parent] + rng.exponential(1.0 / self.delay_rate, parent.size)
@@ -123,13 +128,13 @@ class ClusterModel:
             kept.append(labels)
             total += labels.size
             if total > cap:
-                counts += np.bincount(np.concatenate(kept[counted:]), minlength=size)
-                counted = len(kept)
+                counts += np.bincount(np.concatenate(kept), minlength=size)
+                kept = []
                 if int(counts.max()) > cap:
                     raise CapExceeded(f"window population exceeded progeny_cap {cap}")
-        labels = np.concatenate(kept)
-        marks = self.mark.sample(rng, labels.size)
-        return np.bincount(labels, weights=marks, minlength=size)
+        if kept:
+            counts += np.bincount(np.concatenate(kept), minlength=size)
+        return self.mark.total(rng, counts)
 
     def mean_var(self) -> tuple[float, float]:
         """Exact (mean, variance) of a window total.
@@ -233,7 +238,8 @@ class InterferenceModel:
 
     def sample(self, rng, size: int) -> np.ndarray:
         """Interference totals of ``size`` independent fields, far-field mean
-        added back.  Draw order: point counts, radii, then powers.
+        added back.  Draw order: point counts, radii, then powers; field i's
+        points are the i-th run of ``n[i]`` draws.
 
         Radial symmetry of the attenuation makes angles irrelevant, so only radii
         are drawn: r^2 = rho^2 U for the disk of truncation radius rho, and the
@@ -242,13 +248,13 @@ class InterferenceModel:
         """
         rho = self.truncation_radius
         n = rng.poisson(self.lam * math.pi * rho * rho, size)
-        labels = np.repeat(np.arange(size), n)
-        signal = rng.random(labels.size)
+        points = int(n.sum())
+        signal = rng.random(points)
         signal *= rho * rho
         np.maximum(signal, self.radius * self.radius, out=signal)
         signal **= -0.5 * self.alpha
-        signal *= self.power.sample(rng, labels.size)
-        return np.bincount(labels, weights=signal, minlength=size) + self.farfield_mean
+        signal *= self.power.sample(rng, points)
+        return segment_sums(signal, n) + self.farfield_mean
 
     def mean_var(self) -> tuple[float, float]:
         """Exact (mean, variance) of the untruncated total, by Campbell:
@@ -404,14 +410,14 @@ def _replicate(sample, chunk: int, n: int, seed: int, workers: int) -> np.ndarra
 def _simulate_batch(scenario, n: int, seed: int, workers: int) -> tuple[np.ndarray, dict]:
     """n exactly standardized totals, and the standardization a report echoes.
     A chunk holds as many totals as keep its expected points under
-    _CHUNK_POINTS, at least 1 and at most _CHUNK_REPS."""
+    _CHUNK_POINTS, each total counting at least one point."""
     if n < 2:
         raise DomainError("n_reps must be >= 2")
     mu, var = scenario.mean_var()
     if not (math.isfinite(mu) and 0.0 < var < math.inf):
         raise DomainError(f"exact variance {var!r} of the total is not positive and finite")
     sd = math.sqrt(var)
-    chunk = max(1, int(min(_CHUNK_REPS, _CHUNK_POINTS / scenario.expected_points)))
+    chunk = max(1, int(_CHUNK_POINTS / max(1.0, scenario.expected_points)))
     raw = _replicate(scenario.sample, chunk, n, seed, workers)
     return (raw - mu) / sd, {"kind": "analytic", "mean": mu, "sd": sd}
 
@@ -520,10 +526,12 @@ def verify_moments(
         raise DomainError("n_draws must be >= 2")
     exact = progeny_moment_table(offspring, 6).moments
     # the lambda reads the module's _sample_progeny_block at each call, so a
-    # wrapper installed on that name sees every block
+    # wrapper installed on that name sees every block.  A chunk holds
+    # _CHUNK_POINTS cascades: a block holds one generation at a time, whose
+    # expected size is at most one point per cascade
     draws = _replicate(
         lambda rng, size: _sample_progeny_block(offspring, rng, size),
-        _CHUNK_REPS, n_draws, seed, workers,
+        _CHUNK_POINTS, n_draws, seed, workers,
     ).astype(float)
 
     checks = []

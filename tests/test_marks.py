@@ -14,6 +14,9 @@ from chaos_bounds import (
     UniformMark,
     mark_abs_moments,
 )
+from chaos_bounds.marks import segment_sums
+
+NAMED_MARKS = (ConstantMark(2.5), UniformMark(2.0), ExponentialMark(0.7), CenteredGaussianMark(1.3))
 
 
 def test_constant_moments():
@@ -111,3 +114,56 @@ def test_constant_sampling():
 def test_uniform_sampling_range():
     x = UniformMark(1.5).sample(np.random.default_rng(3), 1000)
     assert np.all((x >= 0.0) & (x <= 1.5))
+
+
+@pytest.mark.parametrize("counts", [
+    [0, 3, 1],
+    [2, 0, 0, 4],
+    [1, 2, 0],
+    [0, 0, 0],
+    [],
+    [5],
+])
+def test_segment_sums_match_a_loop(counts):
+    values = np.random.default_rng(len(counts)).random(sum(counts))
+    want, start = [], 0
+    for c in counts:
+        want.append(float(sum(values[start:start + c])))
+        start += c
+    got = segment_sums(values, np.array(counts, dtype=np.int64))
+    assert got.shape == (len(counts),)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("mark", NAMED_MARKS)
+def test_total_of_no_marks_is_zero(mark):
+    counts = np.array([0, 0, 3, 0], dtype=np.int64)
+    got = mark.total(np.random.default_rng(2), counts)
+    assert got.shape == (4,)
+    assert [got[0], got[1], got[3]] == [0.0, 0.0, 0.0]
+
+
+def test_unit_constant_total_is_the_count():
+    counts = np.array([0, 1, 7, 300, 12345], dtype=np.int64)
+    got = ConstantMark(1.0).total(np.random.default_rng(0), counts)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, counts)
+
+
+@pytest.mark.parametrize("mark", NAMED_MARKS)
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_total_has_the_mean_and_variance_of_a_sum(mark, n):
+    # the sum of n iid marks has mean n E M and variance n Var M
+    draws = 20000
+    x = mark.total(np.random.default_rng([n, 9]), np.full(draws, n, dtype=np.int64))
+    mean = n * mark.mean
+    var = n * (mark.abs_moment(2) - mark.mean ** 2)
+    emp_var = x.var(ddof=1)
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(emp_var / draws) + 1e-12 * abs(mean)
+    fourth = np.mean((x - x.mean()) ** 4)
+    assert abs(emp_var - var) <= 4.0 * math.sqrt((fourth - emp_var ** 2) / draws) + 1e-12 * var
+
+
+def test_custom_total_cannot_be_drawn():
+    with pytest.raises(DomainError, match="cannot be sampled"):
+        CustomAbsMoments((1.0, 2.0)).total(np.random.default_rng(0), np.array([1]))

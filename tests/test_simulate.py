@@ -42,6 +42,7 @@ from chaos_bounds import simulate
 from chaos_bounds.gaussian_bounds import GaussianBoundReport
 from chaos_bounds.progeny import factorial_moments
 from chaos_bounds.simulate import samples_csv_text
+from sampler_oracles import interference_by_labels
 
 ZERO_OFFSPRING = FactorialMoments((0.0, 0.0, 0.0, 0.0))
 
@@ -215,6 +216,36 @@ def test_chunked_fields_match_campbell():
     assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
     fourth = np.mean((x - x.mean()) ** 4)
     assert abs(var - want_var) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
+
+
+@pytest.mark.parametrize("model, size", [
+    # 0.28 expected points: most fields of the chunk are empty
+    (InterferenceModel(0.01, 3.0, 4.0, tail_eps=1e6), 400),
+    (InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0), 200),
+    (InterferenceModel(50.0, 1.0, 4.0, power=UniformMark(2.0), tail_eps=10.0), 1),
+])
+def test_fields_match_the_label_kernel(model, size):
+    got = model.sample(np.random.default_rng(77), size)
+    want = interference_by_labels(model, np.random.default_rng(77), size)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if size == 400:
+        assert np.count_nonzero(got == model.farfield_mean) > size // 2
+
+
+@pytest.mark.parametrize("mark", [ExponentialMark(1.0), UniformMark(2.0), CenteredGaussianMark(1.0)])
+def test_window_mark_totals_follow_the_point_counts(mark):
+    # mark totals are drawn last from the windows' point counts, so the same
+    # stream gives each window the same count whatever its mark law, and a
+    # cap that only counts early changes nothing
+    unit = ClusterModel(1.0, 50.0, PoissonMean(0.5))
+    counts = unit.sample(np.random.default_rng(5), 300).astype(np.int64)
+    model = dataclasses.replace(unit, mark=mark)
+    got = model.sample(np.random.default_rng(5), 300)
+    rng = np.random.default_rng(5)
+    unit.sample(rng, 300)
+    np.testing.assert_array_equal(got, mark.total(rng, counts))
+    capped = dataclasses.replace(model, progeny_cap=int(counts.max()))
+    np.testing.assert_array_equal(capped.sample(np.random.default_rng(5), 300), got)
 
 
 def test_marked_window_mean():
@@ -463,14 +494,16 @@ def test_chunk_sizes(monkeypatch):
         simulate._simulate_batch(scenario, 2, 0, 1)
         return chunks.pop()
 
+    # a cascade counts one point, whatever its mean size
     verify_moments(PoissonMean(0.9), 2, seed=0)
-    assert chunks.pop() == 4096
+    assert chunks.pop() == 2 ** 15
     # lam T / (1 - E P) = 2e4 expected points: one window a chunk
     model = ClusterModel(1.0, 1e4, PoissonMean(0.5))
     assert model.expected_points == 2e4 and chunk_of(model) == 1
     model = ClusterModel(1.0, 1e3, Binomial(3, 0.2))
     assert model.expected_points == pytest.approx(2500.0) and chunk_of(model) == 13  # 2^15 / 2500
-    assert chunk_of(ClusterModel(1e-3, 1.0, PoissonMean(0.5))) == 4096
+    # fewer than one expected point still counts as one
+    assert chunk_of(ClusterModel(1e-3, 1.0, PoissonMean(0.5))) == 2 ** 15
     # this window's variance is not finite either, so a scenario with finite
     # moments carries its point count to the chunk rule
     assert ClusterModel(1e300, 1e300, ZERO_OFFSPRING).expected_points == math.inf
