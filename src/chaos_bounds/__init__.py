@@ -3,10 +3,11 @@ cluster (Hawkes-type) and shot-noise models, with the concentration and
 moderate-deviation machinery that goes with them, and exact Monte Carlo
 harnesses to check everything at desk scale.
 
-The calculators need neither numpy nor scipy: importing the package loads
-only the standard library.  The Monte Carlo half (``simulate``: the models,
-samplers, empirical distances and ``verify_*`` harnesses) is imported on
-first use of one of its names.
+numpy is the one runtime dependency, and the calculators do not need even
+that: importing the package loads only the standard library.  The Monte
+Carlo half (``simulate``: the models, samplers, empirical distances and
+``verify_*`` harnesses) loads numpy and is imported on first use of one of
+its names.
 """
 from importlib import import_module as _import_module
 
@@ -76,7 +77,7 @@ from .deviations import (
 
 __version__ = "0.1.0"
 
-# simulate loads numpy and scipy, so its names (and the module itself) are
+# simulate loads numpy, so its names (and the module itself) are
 # resolved on first access through the module __getattr__ (PEP 562).
 _SIMULATE_NAMES = frozenset({
     "ClusterModel",

@@ -11,7 +11,7 @@ flags, each flag declared once with its type, default and whether it is
 required.  ``build_parser`` builds argparse from that table; ``main`` builds
 it once per process and reuses it, since parsing never changes a parser.
 Only the verify handlers import ``simulate``, so a calculator command loads
-neither numpy nor scipy.
+only the standard library.
 
 The RNG seed resolves as: --seed flag, else the CHAOS_BOUNDS_SEED environment
 variable, else the fixed default 0xC0FFEE.  A JSON config file (--config) is

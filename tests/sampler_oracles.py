@@ -1,11 +1,19 @@
-"""A label-and-bincount interference kernel, kept as an independent oracle
+"""Independent kernels kept as oracles for the samplers and distances.
+
+``interference_by_labels`` is a label-and-bincount interference kernel, kept
 for ``InterferenceModel.sample``, which sums each field's points by segment.
 Every point carries its field's label and one weighted ``np.bincount`` gives
 the totals; the draws are the model's own, in its order (point counts,
-radii, powers), so tests compare the two on one stream at 1e-12 relative."""
+radii, powers), so tests compare the two on one stream at 1e-12 relative.
+
+``kolmogorov_by_scipy`` and ``wasserstein_by_scipy`` are the empirical
+distances computed with scipy's Phi and Phi^{-1} (``ndtr``, ``ndtri``),
+each piece evaluated on its own, for the library's standard-library Phi.
+"""
 import math
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 
 def interference_by_labels(model, rng, size: int) -> np.ndarray:
@@ -16,3 +24,32 @@ def interference_by_labels(model, rng, size: int) -> np.ndarray:
     signal = np.maximum(rng.random(labels.size) * (rho * rho), model.radius * model.radius)
     signal = signal ** (-0.5 * model.alpha) * model.power.sample(rng, labels.size)
     return np.bincount(labels, weights=signal, minlength=size) + model.farfield_mean
+
+
+def kolmogorov_by_scipy(samples) -> float:
+    """sup_t |F_n(t) - Phi(t)| at the jump points."""
+    z = np.sort(np.asarray(samples, dtype=float))
+    n = z.size
+    cdf = ndtr(z)
+    return float(max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(0, n) / n).max()))
+
+
+def _phi_antiderivative(t):
+    return t * ndtr(t) + np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def wasserstein_by_scipy(samples) -> float:
+    """int |F_n(t) - Phi(t)| dt in closed form, segment by segment."""
+    z = np.sort(np.asarray(samples, dtype=float))
+    n = z.size
+    total = float(_phi_antiderivative(z[0]) + (_phi_antiderivative(z[-1]) - z[-1]))
+    if n > 1:
+        a = z[:-1]
+        b = z[1:]
+        c = np.arange(1, n) / n
+        qc = np.clip(ndtri(c), a, b)
+        ia = _phi_antiderivative(a)
+        iq = _phi_antiderivative(qc)
+        ib = _phi_antiderivative(b)
+        total += float(np.sum(c * (qc - a) - (iq - ia) + (ib - iq) - c * (b - qc)))
+    return total

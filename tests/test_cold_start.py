@@ -1,5 +1,6 @@
 """Cold start: the calculators load neither numpy nor scipy nor the
-``simulate`` module; the package resolves simulate's names on first use.
+``simulate`` module; the package resolves simulate's names on first use, and
+the verify commands load numpy and ``simulate`` but never scipy.
 
 Module loading is per process, so each check runs in a fresh interpreter on
 the same copy of the package that this test imported.
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import chaos_bounds
+import chaos_bounds.cli as cli
 
 HEAVY = ("numpy", "scipy", "chaos_bounds.simulate")
 CALCULATORS = (
@@ -25,17 +27,26 @@ CALCULATORS = (
     "moments factorial --offspring binomial:3,0.2 --n 4",
     "moments series --offspring binomial:3,0.2 --m 4",
 )
-VERIFY = "verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1"
+VERIFY = (
+    "verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1",
+    "verify bci --h 0.5 --T 10 --reps 50 --seed 1",
+    "verify moments --offspring poisson:0.3 --reps 200",
+)
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this copy of the package."""
+    env = dict(os.environ)
+    src = str(Path(chaos_bounds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def fresh(code: str):
     """Run code in a fresh interpreter; return the JSON it prints last."""
-    env = dict(os.environ)
-    src = str(Path(chaos_bounds.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -48,13 +59,27 @@ loaded = lambda: [m for m in {HEAVY!r} if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv.split()) for argv in {CALCULATORS!r}]
     calculators = loaded()
-    codes.append(cli.main({VERIFY!r}.split()))
+    codes += [cli.main(argv.split()) for argv in {VERIFY!r}]
 print(json.dumps([codes, calculators, loaded()]))
 """)
     codes, after_calculators, after_verify = got
-    assert codes == [0] * (len(CALCULATORS) + 1)
+    assert codes == [0] * (len(CALCULATORS) + len(VERIFY))
     assert after_calculators == []
-    assert after_verify == list(HEAVY)
+    assert after_verify == ["numpy", "chaos_bounds.simulate"]
+
+
+def test_verify_runs_with_scipy_blocked(capsys):
+    # a None entry in sys.modules makes every import of scipy raise
+    proc = run_fresh(f"""
+import sys
+sys.modules["scipy"] = None
+from chaos_bounds.cli import main
+sys.exit(main({VERIFY[0]!r}.split()))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert '"kind": "gaussian-bound"' in proc.stdout
+    assert cli.main(VERIFY[0].split()) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_simulate_names_resolve_lazily():

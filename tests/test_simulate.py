@@ -4,10 +4,11 @@ regressions; statistical gates (4 SE, chi-square at 1e-3) were chosen to hold
 with large margin for the frozen seeds."""
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import solve_ivp
 
 from chaos_bounds import (
@@ -42,7 +43,7 @@ from chaos_bounds import simulate
 from chaos_bounds.gaussian_bounds import GaussianBoundReport
 from chaos_bounds.progeny import factorial_moments
 from chaos_bounds.simulate import samples_csv_text
-from sampler_oracles import interference_by_labels
+from sampler_oracles import interference_by_labels, kolmogorov_by_scipy, wasserstein_by_scipy
 
 ZERO_OFFSPRING = FactorialMoments((0.0, 0.0, 0.0, 0.0))
 
@@ -325,6 +326,41 @@ def test_single_sample_distances():
     # one point at 0: sup |1{t >= 0} - Phi| = 1/2, and int |.| dt = E|N(0,1)|
     assert empirical_kolmogorov([0.0]) == 0.5
     assert np.isclose(empirical_wasserstein([0.0]), math.sqrt(2.0 / math.pi), rtol=1e-12)
+
+
+def test_ndtr_matches_scipy():
+    # scipy's erfc and the C library's differ by a few ulps on the same
+    # argument (2.6e-15 at worst on [-8, 9], near t = -6.6), and by more in
+    # the far left tail, where scipy rounds x^2 inside exp(-x^2)
+    for lo, hi, rtol in ((-8.0, 9.0, 4e-15), (-37.5, -8.0, 1e-13)):
+        t = np.linspace(lo, hi, 200_001)
+        np.testing.assert_allclose(simulate._ndtr(t), special.ndtr(t), rtol=rtol, atol=0)
+
+
+def test_ndtri_matches_scipy_and_the_standard_library():
+    p = np.concatenate([
+        np.logspace(-300, -1, 30_001),
+        np.linspace(0.1, 0.9, 30_001),
+        1.0 - np.logspace(-1, -16, 30_001),
+    ])
+    got = simulate._ndtri(p)
+    np.testing.assert_allclose(got, special.ndtri(p), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got, [NormalDist().inv_cdf(q) for q in p], rtol=1e-15, atol=0)
+
+
+def test_phi_helpers_keep_the_input_shape():
+    for f, x, y in ((simulate._ndtr, 0.0, 0.5), (simulate._ndtri, 0.5, 0.0)):
+        for arg in (x, np.array(x), np.array([x, x]), np.full((2, 3), x)):
+            out = f(arg)
+            assert out.dtype == np.float64 and out.shape == np.shape(arg)
+            assert np.all(out == y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 5000, 100_000])
+def test_distances_match_the_scipy_kernels(n):
+    z = np.random.default_rng(n).standard_normal(n) * 1.3 + 0.2
+    assert math.isclose(empirical_kolmogorov(z), kolmogorov_by_scipy(z), rel_tol=1e-12)
+    assert math.isclose(empirical_wasserstein(z), wasserstein_by_scipy(z), rel_tol=1e-12)
 
 
 def test_dkw_margin_values():
