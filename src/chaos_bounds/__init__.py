@@ -41,10 +41,7 @@ from .progeny import (
     PoissonMean,
     ProgenyMomentTable,
     abel_plana_bound,
-    borel_pmf,
-    consul_pmf,
     factorial_moments,
-    progeny_moment,
     progeny_moment_series,
     progeny_moment_table,
 )

@@ -278,6 +278,7 @@ def _cmd_moments_pmf(args):
 
 
 def _cmd_moments_abel(args):
+    _check_size("--m", args.m)
     cs = abel_plana_bound(args.nu, args.m)
     return {
         "nu": args.nu,

@@ -75,6 +75,8 @@ def verify_mark_gamma(
 def _check_gamma(gamma: float) -> None:
     if not (gamma >= 0):  # NaN fails too
         raise DomainError("gamma must be >= 0")
+    if gamma == math.inf:
+        raise DomainError("gamma must be finite")
 
 
 def _check_lambda_leb(lambda_leb: float) -> float:

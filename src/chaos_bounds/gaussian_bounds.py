@@ -98,6 +98,8 @@ def first_chaos_bounds(m3: float, m4: float) -> GaussianBoundReport:
     m4 = int f^4 (and int f^2 = 1)."""
     if not (m3 >= 0 and m4 >= 0):
         raise DomainError("kernel moments must be >= 0")
+    if math.inf in (m3, m4):
+        raise DomainError("kernel moments must be finite")
     return GaussianBoundReport(
         dw_bound=m3,
         dk_bound=_dk_from(m3, m4),

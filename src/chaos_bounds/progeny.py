@@ -7,10 +7,9 @@ independent copies Z_j, so M(t) = E e^{tZ} solves the fixed point
     M(t) = e^t G_P(M(t)),   G_P(s) = sum_i E(P)_i (s - 1)^i / i!,
 
 in the factorial moments E(P)_i = E[P(P-1)...(P-i+1)] (the total-progeny /
-Lagrange-inversion view of Dwass 1969).  ``progeny_moment`` and
-``progeny_moment_table`` read E Z^1..E Z^n off its power series, one order
-at a time, in O(n^3) total work; every E Z^n the package uses comes from
-this one recursion.
+Lagrange-inversion view of Dwass 1969).  ``progeny_moment_table`` reads
+E Z^1..E Z^n off its power series, one order at a time, in O(n^3) total
+work; every E Z^n the package uses comes from this one recursion.
 
 Each offspring law owns what depends on its family: its mean, its factorial
 moments, its generation step (the sampler's draw of a generation's
@@ -19,8 +18,7 @@ Poisson(h) cascade and Consul for the Binomial(h, p) cascade.  The pmf comes
 as ``log_pmf(k)`` (the formula, k unchecked), ``pmf(k)`` (checked) and
 ``pmf_ratio_bound``, a (q, c) with pmf(j+1)/pmf(j) <= q e^{c/k} for all
 j >= k.  ``progeny_moment_series`` sums k^m against any such law, its tail
-certified by that bound, as an independent oracle; ``borel_pmf`` and
-``consul_pmf`` are the two laws' pmfs under their classic names.
+certified by that bound, as an independent oracle.
 """
 from __future__ import annotations
 
@@ -291,11 +289,6 @@ def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
     return out
 
 
-def progeny_moment(law: OffspringLaw, n: int) -> float:
-    """E Z^n via the generating-function recursion."""
-    return _moment_sequence(law, n)[-1]
-
-
 @dataclass(frozen=True)
 class ProgenyMomentTable:
     """E Z^1..E Z^{n_max} computed in one recursion pass."""
@@ -306,16 +299,6 @@ class ProgenyMomentTable:
 
 def progeny_moment_table(law: OffspringLaw, n_max: int) -> ProgenyMomentTable:
     return ProgenyMomentTable(n_max=n_max, moments=tuple(_moment_sequence(law, n_max)))
-
-
-def borel_pmf(h: float, k: int) -> float:
-    """P(Z = k) = e^{-hk} (hk)^{k-1} / k! for the Poisson(h) cascade."""
-    return PoissonMean(h).pmf(k)
-
-
-def consul_pmf(h: int, p: float, k: int) -> float:
-    """P(Z = k) = (1/k) C(kh, k-1) p^{k-1} (1-p)^{k(h-1)+1} for Binomial(h, p)."""
-    return Binomial(h, p).pmf(k)
 
 
 def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:

@@ -10,10 +10,13 @@ a time through the offspring law's own generation step
 (``law.next_generation``).  Interference fields are truncated at a radius
 whose discarded far field has mean at most ``tail_eps``; that mean is added
 back, so the total's mean is exact but its variance is not
-(``InterferenceModel``).
+(``InterferenceModel``).  Every sampler raises ``CapExceeded`` once one
+total's population, expected or drawn, passes ``POPULATION_CAP``.
 
 Each verify command simulates one pass through one driver, ``_replicate``,
-and the Gaussian and tail checks standardize it exactly (``mean_var``).
+which calls a ``sample(rng, size)`` of the same shape for windows, fields
+and cascades (``sample_progeny``), and the Gaussian and tail checks
+standardize it exactly (``mean_var``).
 A chunk holds ``_CHUNK_POINTS`` cascades, or as many windows or fields as
 keep its expected points under ``_CHUNK_POINTS`` (``_simulate_batch``).
 A chunk of fields sums its points' signals by segment (``segment_sums``);
@@ -56,6 +59,8 @@ from .progeny import (
 )
 
 _CHUNK_POINTS = 2 ** 15
+# the most points one window, field or cascade may hold
+POPULATION_CAP = 10 ** 7
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -80,7 +85,6 @@ class ClusterModel:
     offspring: OffspringLaw
     mark: MarkLaw = ConstantMark(1.0)
     delay_rate: float = 1.0
-    progeny_cap: int = 10 ** 7
 
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -95,8 +99,6 @@ class ClusterModel:
             raise DomainError("a moment-only mark law cannot be sampled")
         if not (self.delay_rate > 0 and math.isfinite(self.delay_rate)):
             raise DomainError("delay_rate must be positive and finite")
-        if self.progeny_cap < 1:
-            raise DomainError("progeny_cap must be >= 1")
 
     @property
     def expected_points(self) -> float:
@@ -110,14 +112,15 @@ class ClusterModel:
         last the windows' mark totals, drawn from their point counts by
         ``mark.total``.
 
-        ``progeny_cap`` bounds each window's population, not the chunk's; each
-        generation's labels are counted per window as soon as the chunk's total
-        passes the cap, and otherwise all at once after the last generation.
+        ``POPULATION_CAP`` bounds each window's population, not the chunk's:
+        lam T before any draw, then the immigrant counts; each generation's
+        labels are counted per window as soon as the chunk's total passes the
+        cap, and otherwise all at once after the last generation.
         """
-        T, cap = self.horizon, self.progeny_cap
+        T, cap = self.horizon, POPULATION_CAP
+        _check_cap(self.lam * T, "a window's expected immigrant count")
         n0 = rng.poisson(self.lam * T, size)
-        if int(n0.max()) > cap:
-            raise CapExceeded(f"window population exceeded progeny_cap {cap}")
+        _check_cap(int(n0.max()), "a window's population")
         labels = np.repeat(np.arange(size), n0)
         times = rng.uniform(0.0, T, labels.size)
         # counts holds the immigrants and every generation counted so far;
@@ -133,8 +136,7 @@ class ClusterModel:
             if total > cap:
                 counts += np.bincount(np.concatenate(kept), minlength=size)
                 kept = []
-                if int(counts.max()) > cap:
-                    raise CapExceeded(f"window population exceeded progeny_cap {cap}")
+                _check_cap(int(counts.max()), "a window's population")
         if kept:
             counts += np.bincount(np.concatenate(kept), minlength=size)
         return self.mark.total(rng, counts)
@@ -242,7 +244,8 @@ class InterferenceModel:
     def sample(self, rng, size: int) -> np.ndarray:
         """Interference totals of ``size`` independent fields, far-field mean
         added back.  Draw order: point counts, radii, then powers; field i's
-        points are the i-th run of ``n[i]`` draws.
+        points are the i-th run of ``n[i]`` draws.  ``POPULATION_CAP`` bounds
+        lam pi rho^2 before any draw, then each field's count.
 
         Radial symmetry of the attenuation makes angles irrelevant, so only radii
         are drawn: r^2 = rho^2 U for the disk of truncation radius rho, and the
@@ -250,7 +253,10 @@ class InterferenceModel:
         place, so a chunk allocates few point-sized arrays.
         """
         rho = self.truncation_radius
-        n = rng.poisson(self.lam * math.pi * rho * rho, size)
+        mean = self.lam * math.pi * rho * rho
+        _check_cap(mean, "a field's expected point count")
+        n = rng.poisson(mean, size)
+        _check_cap(int(n.max()), "a field's point count")
         points = int(n.sum())
         signal = rng.random(points)
         signal *= rho * rho
@@ -277,21 +283,22 @@ class InterferenceModel:
 # samplers
 
 
-def sample_progeny(law: OffspringLaw, rng, cap: int = 10 ** 7) -> int:
-    """Draw one total-progeny count (the root included) of a cascade."""
-    return int(_sample_progeny_block(law, rng, 1, cap)[0])
+def _check_cap(population: float, what: str) -> None:
+    """Raise CapExceeded if a population, expected or drawn, passes the cap."""
+    if population > POPULATION_CAP:
+        raise CapExceeded(f"{what} {population} is above the population cap {POPULATION_CAP}")
 
 
-def _sample_progeny_block(law: OffspringLaw, rng, size: int, cap: int = 10 ** 7) -> np.ndarray:
-    """Total-progeny counts of ``size`` cascades.  Every individual carries
-    its cascade's label, so each generation adds its label counts."""
+def sample_progeny(law: OffspringLaw, rng, size: int) -> np.ndarray:
+    """Total-progeny counts (the root included) of ``size`` independent
+    cascades.  Every individual carries its cascade's label, so each
+    generation adds its label counts."""
     total = np.ones(size, dtype=np.int64)
     labels = np.arange(size)
     while labels.size:
         labels = labels[law.next_generation(rng, labels.size)]
         total += np.bincount(labels, minlength=size)
-        if int(total.max()) > cap:
-            raise CapExceeded(f"total progeny exceeded cap {cap}")
+        _check_cap(int(total.max()), "a cascade's total progeny")
     return total
 
 
@@ -397,31 +404,25 @@ class VerificationReport:
         return {"kind": self.kind, "passed": self.passed, "details": self.details}
 
 
-def _run_indexed(fn, n: int, workers: int) -> list:
-    """[fn(0), ..., fn(n-1)], computed in parallel but placed by index, so the
-    result is independent of the worker count.  The pool never has more
-    threads than CPUs or spans of work (there are at least as many spans as
-    threads), whatever ``workers`` asks for."""
-    workers = min(workers, n, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    block = math.ceil(n / (4 * workers))
-    spans = [range(s, min(s + block, n)) for s in range(0, n, block)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(lambda span: [fn(i) for i in span], spans))
-    return [v for part in parts for v in part]
-
-
 def _replicate(sample, chunk: int, n: int, seed: int, workers: int) -> np.ndarray:
     """n independent totals drawn by ``sample(rng, size)`` in chunks of
     ``chunk``; chunk c draws from its own ``default_rng([seed, c])`` stream,
     and chunks are placed by index, so the draws are the same for any worker
-    count."""
+    count.  The pool never has more threads than CPUs or spans of chunks
+    (there are at least as many spans as threads), whatever ``workers`` asks
+    for."""
+    chunks = math.ceil(n / chunk)
 
-    def one(c: int) -> np.ndarray:
-        return sample(np.random.default_rng([seed, c]), min(chunk, n - c * chunk))
+    def span(cs: range) -> list:
+        return [sample(np.random.default_rng([seed, c]), min(chunk, n - c * chunk)) for c in cs]
 
-    return np.concatenate(_run_indexed(one, math.ceil(n / chunk), workers))
+    workers = min(workers, chunks, os.cpu_count() or 1)
+    if workers <= 1:
+        return np.concatenate(span(range(chunks)))
+    block = math.ceil(chunks / (4 * workers))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(span, [range(s, min(s + block, chunks)) for s in range(0, chunks, block)]))
+    return np.concatenate([a for part in parts for a in part])
 
 
 def _simulate_batch(scenario, n: int, seed: int, workers: int) -> tuple[np.ndarray, dict]:
@@ -542,12 +543,12 @@ def verify_moments(
     if n_draws < 2:
         raise DomainError("n_draws must be >= 2")
     exact = progeny_moment_table(offspring, 6).moments
-    # the lambda reads the module's _sample_progeny_block at each call, so a
-    # wrapper installed on that name sees every block.  A chunk holds
-    # _CHUNK_POINTS cascades: a block holds one generation at a time, whose
-    # expected size is at most one point per cascade
+    # the lambda reads the module's sample_progeny at each call, so a wrapper
+    # installed on that name sees every chunk.  A chunk holds _CHUNK_POINTS
+    # cascades: it holds one generation at a time, whose expected size is at
+    # most one point per cascade
     draws = _replicate(
-        lambda rng, size: _sample_progeny_block(offspring, rng, size),
+        lambda rng, size: sample_progeny(offspring, rng, size),
         _CHUNK_POINTS, n_draws, seed, workers,
     ).astype(float)
 

@@ -22,8 +22,6 @@ from chaos_bounds import (
     FactorialMoments,
     InterferenceModel,
     PoissonMean,
-    borel_pmf,
-    consul_pmf,
     delta_binomial,
     delta_poisson,
     dkw_margin,
@@ -32,7 +30,6 @@ from chaos_bounds import (
     hertzian_integral,
     insurance_tail_report,
     mark_abs_moments,
-    progeny_moment,
     progeny_moment_series,
     progeny_moment_table,
     check_cumulant_condition,
@@ -84,34 +81,31 @@ def test_criterion_01_moment_engine():
     with criterion("criterion 01 moment engine", 1.0) as c:
         for h in H_GRID:
             law = PoissonMean(h)
-            for n in (1, 2, 3, 4):
-                r = rel_err(progeny_moment(law, n), progeny_moment_closed(law, n))
+            for n, got in enumerate(progeny_moment_table(law, 4).moments, 1):
+                r = rel_err(got, progeny_moment_closed(law, n))
                 c.check(r <= 1e-12, f"h={h} n={n} rel={r}")
-        law = PoissonMean(0.5)
+        table = progeny_moment_table(PoissonMean(0.5), 4).moments
         for n, want in [(2, 8.0), (3, 64.0), (4, 832.0)]:
-            c.check(
-                rel_err(progeny_moment(law, n), want) <= 1e-12, f"golden n={n}"
-            )
+            c.check(rel_err(table[n - 1], want) <= 1e-12, f"golden n={n}")
 
 
 def test_criterion_02_series_oracle():
     with criterion("criterion 02 series oracle", 5.0) as c:
         for h in H_GRID:
-            for m in (1, 2, 3, 4):
-                series = progeny_moment_series(PoissonMean(h), m, 1e-10)
-                rec = progeny_moment(PoissonMean(h), m)
+            law = PoissonMean(h)
+            for m, rec in enumerate(progeny_moment_table(law, 4).moments, 1):
+                series = progeny_moment_series(law, m, 1e-10)
                 c.check(rel_err(series, rec) <= 1e-7, f"borel h={h} m={m}")
-            total = sum(borel_pmf(h, k) for k in range(1, 4000))
+            total = sum(law.pmf(k) for k in range(1, 4000))
             c.check(abs(total - 1.0) <= 1e-10, f"borel normalization h={h}")
         binom_grid = [(1, 0.3), (1, 0.6), (1, 0.9), (2, 0.25), (2, 0.45),
                       (3, 0.3), (4, 0.2), (5, 0.15)]
         for h, p in binom_grid:
             law = Binomial(h, p)
-            for m in (1, 2, 3, 4):
+            for m, rec in enumerate(progeny_moment_table(law, 4).moments, 1):
                 series = progeny_moment_series(law, m, 1e-10)
-                rec = progeny_moment(law, m)
                 c.check(rel_err(series, rec) <= 1e-7, f"consul h={h} p={p} m={m}")
-            total = sum(consul_pmf(h, p, k) for k in range(1, 4000))
+            total = sum(law.pmf(k) for k in range(1, 4000))
             c.check(abs(total - 1.0) <= 1e-10, f"consul normalization {h},{p}")
 
 

@@ -243,6 +243,47 @@ def test_nan_input_exit_2(argv):
     assert err.startswith("error: ") and err.endswith("must be >= 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    "tail bci --gamma inf --delta 1 --x 1",
+    "tail nacc --gamma inf --delta 64",
+    "delta poisson --h 0.5 --lambda-leb 1e4 --gamma inf",
+    "bounds first-chaos --m3 inf --m4 1",
+    "bounds first-chaos --m3 1 --m4 inf",
+])
+def test_infinite_input_exit_2(argv):
+    # these used to print a report holding JSON's non-standard Infinity
+    code, out, err = run_main(*argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("must be finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # rho = 1.6e8 puts 7.9e16 expected points in a field
+    "verify gauss --scenario interference --lambda 1 --R 1 --alpha 2.5 --tail-eps 1e-3",
+    # and rho = 1e78, 3e156 points, past numpy's Poisson range
+    "verify gauss --scenario interference --lambda 1 --R 1 --alpha 2.1 --tail-eps 1e-6",
+    # 1e20 expected immigrants in a window
+    "verify gauss --scenario hawkes-poisson --h 0.5 --T 1e20",
+])
+def test_population_past_the_cap_exit_2(argv):
+    code, out, err = run_main(*argv.split(), "--reps", "2", "--seed", "1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(" is above the population cap 10000000\n")
+    assert err.count("\n") == 1
+
+
+def test_moments_abel_rejects_m_before_summing(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("computed the sum before checking --m")
+
+    monkeypatch.setattr(cli, "abel_plana_bound", no_sum)
+    code, out, err = run_main("moments", "abel", "--nu", "1", "--m", "1e6")
+    assert code == 2, err
+    assert out == "" and err == f"error: --m 1000000 is above the limit of {cli.MAX_SIZE}\n"
+
+
 # --m-max 2 is below the first order, and at --m-max 200 E Z^130 leaves
 # float64 range: the cumulant check rejects both before any draw
 @pytest.mark.parametrize("grid", [

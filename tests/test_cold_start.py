@@ -99,7 +99,7 @@ def test_unknown_attribute_raises():
     assert not hasattr(chaos_bounds, "no_such_name")
 
 
-LISTED = ("verify_bci", "ClusterModel", "dkw_margin", "simulate", "progeny_moment")
+LISTED = ("verify_bci", "ClusterModel", "dkw_margin", "simulate", "progeny_moment_table")
 
 
 def test_dir_lists_the_lazy_names_without_loading_them():

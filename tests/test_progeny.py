@@ -23,10 +23,7 @@ from chaos_bounds import (
     PoissonMean,
     SupercriticalError,
     abel_plana_bound,
-    borel_pmf,
-    consul_pmf,
     factorial_moments,
-    progeny_moment,
     progeny_moment_series,
     progeny_moment_table,
 )
@@ -174,46 +171,47 @@ def test_poisson_golden_moments():
     assert progeny_moment_closed(law, 2) == 8.0
     assert progeny_moment_closed(law, 3) == 64.0
     assert progeny_moment_closed(law, 4) == 832.0
-    for n in (1, 2, 3, 4):
-        assert rel_err(progeny_moment(law, n), progeny_moment_closed(law, n)) <= 1e-12
+    for n, got in enumerate(progeny_moment_table(law, 4).moments, 1):
+        assert rel_err(got, progeny_moment_closed(law, n)) <= 1e-12
 
 
 def test_binomial_golden_moments():
     # h = 1 makes Z geometric on {1, 2, ...}; moments from the closed
     # geometric sums: (2, 6, 26, 150) at p = 0.5
     law = Binomial(1, 0.5)
+    table = progeny_moment_table(law, 4).moments
     for n, want in [(1, 2.0), (2, 6.0), (3, 26.0), (4, 150.0)]:
         assert rel_err(progeny_moment_closed(law, n), want) <= 1e-12
-        assert rel_err(progeny_moment(law, n), want) <= 1e-12
+        assert rel_err(table[n - 1], want) <= 1e-12
 
 
 def test_consul_golden_moments():
     # independent direct-summation values for Binomial(2, 0.25)
     law = Binomial(2, 0.25)
+    table = progeny_moment_table(law, 4).moments
     for n, want in [(1, 2.0), (2, 7.0), (3, 42.5), (4, 391.75)]:
-        assert rel_err(progeny_moment(law, n), want) <= 1e-12
+        assert rel_err(table[n - 1], want) <= 1e-12
         assert rel_err(progeny_moment_closed(law, n), want) <= 1e-12
 
 
 @pytest.mark.parametrize("h", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 def test_recursion_matches_closed_poisson(h):
     law = PoissonMean(h)
-    for n in (1, 2, 3, 4):
-        assert rel_err(progeny_moment(law, n), progeny_moment_closed(law, n)) <= 1e-12
+    for n, got in enumerate(progeny_moment_table(law, 4).moments, 1):
+        assert rel_err(got, progeny_moment_closed(law, n)) <= 1e-12
 
 
 @pytest.mark.parametrize("h,p", [(1, 0.3), (1, 0.7), (2, 0.25), (3, 0.2), (5, 0.15)])
 def test_recursion_matches_closed_binomial(h, p):
     law = Binomial(h, p)
-    for n in (1, 2, 3, 4):
-        assert rel_err(progeny_moment(law, n), progeny_moment_closed(law, n)) <= 1e-12
+    for n, got in enumerate(progeny_moment_table(law, 4).moments, 1):
+        assert rel_err(got, progeny_moment_closed(law, n)) <= 1e-12
 
 
 def test_zero_offspring_degenerate():
     # no offspring at all: Z = 1, every moment is 1
     law = FactorialMoments((0.0,) * 6)
-    for n in (1, 2, 3, 4, 6):
-        assert progeny_moment(law, n) == 1.0
+    assert progeny_moment_table(law, 6).moments == (1.0,) * 6
     assert progeny_moment_closed(law, 4) == 1.0
 
 
@@ -222,7 +220,8 @@ def test_moment_table():
     assert table.n_max == 4
     assert table.moments[0] == 2.0
     assert rel_err(table.moments[3], 832.0) <= 1e-12
-    assert table.moments == tuple(progeny_moment(PoissonMean(0.5), n) for n in (1, 2, 3, 4))
+    # a shorter table is a prefix of a longer one
+    assert progeny_moment_table(PoissonMean(0.5), 2).moments == table.moments[:2]
 
 
 def test_closed_form_order_limit():
@@ -277,12 +276,12 @@ def test_inverse_factorials_stop_where_they_reach_zero(monkeypatch):
 
 def test_overflow_is_domain_error():
     with pytest.raises(DomainError, match=r"E Z\^130 "):
-        progeny_moment(PoissonMean(0.5), 200)
+        progeny_moment_table(PoissonMean(0.5), 200)
     # no offspring: every E Z^n is 1, but E Z^n / n! underflows past n = 170
     law = FactorialMoments((0.0,) * 200)
-    assert progeny_moment(law, 170) == 1.0
+    assert progeny_moment_table(law, 170).moments[-1] == 1.0
     with pytest.raises(DomainError, match=r"E Z\^171 "):
-        progeny_moment(law, 171)
+        progeny_moment_table(law, 171)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ def test_recursion_matches_closed_forms(law):
 @given(law=st.one_of(poisson_laws, binomial_laws), m=st.integers(1, 8))
 def test_recursion_matches_pmf_series(law, m):
     series = progeny_moment_series(law, m, 1e-10)
-    assert rel_err(series, progeny_moment(law, m)) <= 1e-7
+    assert rel_err(series, progeny_moment_table(law, m).moments[-1]) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -329,61 +328,53 @@ def test_recursion_matches_pmf_series(law, m):
 
 
 def test_borel_pmf_goldens():
-    assert rel_err(borel_pmf(0.5, 1), math.exp(-0.5)) <= 1e-13
-    assert rel_err(borel_pmf(0.3, 1), math.exp(-0.3)) <= 1e-13
+    assert rel_err(PoissonMean(0.5).pmf(1), math.exp(-0.5)) <= 1e-13
+    assert rel_err(PoissonMean(0.3).pmf(1), math.exp(-0.3)) <= 1e-13
     # k = 2: e^{-2h} (2h)^1 / 2 = h e^{-2h}
-    assert rel_err(borel_pmf(0.5, 2), 0.5 * math.exp(-1.0)) <= 1e-13
+    assert rel_err(PoissonMean(0.5).pmf(2), 0.5 * math.exp(-1.0)) <= 1e-13
 
 
 def test_consul_pmf_goldens():
     # k = 1: (1-p)^h
-    assert rel_err(consul_pmf(2, 0.25, 1), 0.75 ** 2) <= 1e-13
-    assert rel_err(consul_pmf(3, 0.2, 1), 0.8 ** 3) <= 1e-13
+    assert rel_err(Binomial(2, 0.25).pmf(1), 0.75 ** 2) <= 1e-13
+    assert rel_err(Binomial(3, 0.2).pmf(1), 0.8 ** 3) <= 1e-13
     # h = 1 reduces to the geometric pmf p^{k-1}(1-p)
     for k in (1, 2, 5, 9):
-        assert rel_err(consul_pmf(1, 0.3, k), 0.3 ** (k - 1) * 0.7) <= 1e-12
+        assert rel_err(Binomial(1, 0.3).pmf(k), 0.3 ** (k - 1) * 0.7) <= 1e-12
     # hand value: (1/2) C(4,1) p (1-p)^3 at p = 0.25
-    assert rel_err(consul_pmf(2, 0.25, 2), 0.2109375) <= 1e-13
+    assert rel_err(Binomial(2, 0.25).pmf(2), 0.2109375) <= 1e-13
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_borel_pmf_normalizes(h):
-    total = sum(borel_pmf(h, k) for k in range(1, 3000))
+    total = sum(PoissonMean(h).pmf(k) for k in range(1, 3000))
     assert abs(total - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("h,p", [(1, 0.5), (2, 0.3), (3, 0.25), (4, 0.2)])
 def test_consul_pmf_normalizes(h, p):
-    total = sum(consul_pmf(h, p, k) for k in range(1, 3000))
+    total = sum(Binomial(h, p).pmf(k) for k in range(1, 3000))
     assert abs(total - 1.0) <= 1e-10
-
-
-def test_law_pmf_is_its_cascade_pmf():
-    for k in (1, 2, 7):
-        assert PoissonMean(0.5).pmf(k) == borel_pmf(0.5, k)
-        assert Binomial(3, 0.2).pmf(k) == consul_pmf(3, 0.2, k)
-    with pytest.raises(DomainError, match="no closed pmf"):
-        FactorialMoments((0.5,)).pmf(1)
 
 
 def test_pmf_validation():
     with pytest.raises(DomainError):
-        borel_pmf(1.2, 3)
+        PoissonMean(1.2).pmf(3)
     with pytest.raises(DomainError):
-        borel_pmf(0.5, 0)
+        PoissonMean(0.5).pmf(0)
     with pytest.raises(DomainError):
-        consul_pmf(0, 0.5, 1)
+        Binomial(0, 0.5).pmf(1)
     with pytest.raises(SupercriticalError):
-        consul_pmf(2, 0.5, 1)
+        Binomial(2, 0.5).pmf(1)
     with pytest.raises(DomainError):
-        consul_pmf(2, 0.25, 0)
+        Binomial(2, 0.25).pmf(0)
 
 
 def test_pmf_near_criticality_raises_like_the_laws():
     with pytest.raises(SupercriticalError):
-        borel_pmf(1.0 - 1e-10, 3)
+        PoissonMean(1.0 - 1e-10).pmf(3)
     with pytest.raises(SupercriticalError):
-        consul_pmf(2, 0.5 - 1e-10, 3)
+        Binomial(2, 0.5 - 1e-10).pmf(3)
 
 
 def test_laws_reject_subnormal_parameters():
@@ -397,6 +388,8 @@ def test_laws_reject_subnormal_parameters():
 
 def test_factorial_law_has_no_pmf_members():
     law = FactorialMoments((0.5,))
+    with pytest.raises(DomainError, match="no closed pmf"):
+        law.pmf(1)
     with pytest.raises(DomainError, match="no closed pmf"):
         law.log_pmf(1)
     with pytest.raises(DomainError, match="no closed pmf"):
@@ -433,7 +426,7 @@ def test_pmf_ratio_bound_holds(law):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_series_matches_recursion_poisson(h, m):
     series = progeny_moment_series(PoissonMean(h), m, 1e-10)
-    assert rel_err(series, progeny_moment(PoissonMean(h), m)) <= 1e-7
+    assert rel_err(series, progeny_moment_table(PoissonMean(h), m).moments[-1]) <= 1e-7
 
 
 @pytest.mark.parametrize("h,p", [(1, 0.3), (1, 0.6), (2, 0.25), (3, 0.2), (4, 0.15)])
@@ -441,7 +434,7 @@ def test_series_matches_recursion_poisson(h, m):
 def test_series_matches_recursion_binomial(h, p, m):
     law = Binomial(h, p)
     series = progeny_moment_series(law, m, 1e-10)
-    assert rel_err(series, progeny_moment(law, m)) <= 1e-7
+    assert rel_err(series, progeny_moment_table(law, m).moments[-1]) <= 1e-7
 
 
 def test_series_geometric_mean():

@@ -24,14 +24,11 @@ from chaos_bounds import (
     FactorialMoments,
     InterferenceModel,
     PoissonMean,
-    borel_pmf,
-    consul_pmf,
     delta_poisson,
     dkw_margin,
     empirical_kolmogorov,
     empirical_wasserstein,
     hertzian_integral,
-    progeny_moment,
     progeny_moment_table,
     sample_progeny,
     UniformMark,
@@ -109,10 +106,10 @@ def test_interference_truncation_radius():
 def test_sample_progeny_chi2_borel():
     rng = np.random.default_rng(20240817)
     law = PoissonMean(0.5)
-    draws = np.array([sample_progeny(law, rng) for _ in range(5000)])
+    draws = np.array([sample_progeny(law, rng, 1)[0] for _ in range(5000)])
     kmax = 12
     counts = np.bincount(np.minimum(draws, kmax + 1), minlength=kmax + 2)[1:]
-    probs = np.array([borel_pmf(0.5, k) for k in range(1, kmax + 1)])
+    probs = np.array([PoissonMean(0.5).pmf(k) for k in range(1, kmax + 1)])
     expected = np.append(probs, 1.0 - probs.sum()) * draws.size
     chi2, p = stats.chisquare(counts, expected)
     assert p > 1e-3
@@ -121,10 +118,10 @@ def test_sample_progeny_chi2_borel():
 def test_sample_progeny_chi2_consul():
     rng = np.random.default_rng(20240818)
     law = Binomial(2, 0.25)
-    draws = np.array([sample_progeny(law, rng) for _ in range(5000)])
+    draws = np.array([sample_progeny(law, rng, 1)[0] for _ in range(5000)])
     kmax = 10
     counts = np.bincount(np.minimum(draws, kmax + 1), minlength=kmax + 2)[1:]
-    probs = np.array([consul_pmf(2, 0.25, k) for k in range(1, kmax + 1)])
+    probs = np.array([Binomial(2, 0.25).pmf(k) for k in range(1, kmax + 1)])
     expected = np.append(probs, 1.0 - probs.sum()) * draws.size
     chi2, p = stats.chisquare(counts, expected)
     assert p > 1e-3
@@ -132,19 +129,20 @@ def test_sample_progeny_chi2_consul():
 
 def test_sample_progeny_zero_law():
     rng = np.random.default_rng(0)
-    assert sample_progeny(ZERO_OFFSPRING, rng) == 1
+    assert sample_progeny(ZERO_OFFSPRING, rng, 1)[0] == 1
     with pytest.raises(DomainError):
-        sample_progeny(FactorialMoments((0.5,)), rng)
+        sample_progeny(FactorialMoments((0.5,)), rng, 1)
 
 
-def test_sample_progeny_cap():
+def test_sample_progeny_cap(monkeypatch):
     # a near-critical cascade with a tiny cap must trip it quickly for some
     # replication; scan a fixed block of seeds so the test is deterministic
+    monkeypatch.setattr(simulate, "POPULATION_CAP", 10)
     law = PoissonMean(0.9)
     tripped = False
     for i in range(50):
         try:
-            sample_progeny(law, np.random.default_rng([7, i]), cap=10)
+            sample_progeny(law, np.random.default_rng([7, i]), 1)
         except CapExceeded:
             tripped = True
             break
@@ -180,28 +178,54 @@ def test_hawkes_window_mean():
     assert abs(x.mean() - want) <= 4.0 * se
 
 
-def test_window_cap_trips():
-    model = ClusterModel(1.0, 1000.0, PoissonMean(0.5), progeny_cap=10)
-    with pytest.raises(CapExceeded):
-        model.sample(np.random.default_rng(0), 1)
+class NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} before the cap check")
 
 
-def test_window_cap_is_per_window_within_a_chunk():
-    # unit marks make each total its window's population, and the cap draws
-    # nothing, so the same stream gives the same chunk at any cap
-    model = ClusterModel(1.0, 50.0, PoissonMean(0.5))
-    sizes = model.sample(np.random.default_rng(5), 300)
+def test_window_cap_trips(monkeypatch):
+    # lam T = 1000 expected immigrants and lam pi rho^2 = 9 pi expected points
+    # (rho = R at this tail_eps) pass a cap of 10 before the first draw
+    monkeypatch.setattr(simulate, "POPULATION_CAP", 10)
+    for model in (ClusterModel(1.0, 1000.0, PoissonMean(0.5)), InterferenceModel(1.0, 3.0, 4.0, tail_eps=1e6)):
+        with pytest.raises(CapExceeded, match="expected"):
+            model.sample(NoDraws(), 1)
+
+
+_WINDOW = ClusterModel(1.0, 50.0, PoissonMean(0.5))
+_FIELD = InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0)
+
+
+def _cascades(rng, size):
+    return sample_progeny(PoissonMean(0.5), rng, size)
+
+
+@pytest.mark.parametrize("sample, population, first_draw", [
+    # unit marks make each total its window's population; the immigrant
+    # counts are drawn first
+    (_WINDOW.sample, _WINDOW.sample, lambda rng, size: rng.poisson(50.0, size)),
+    # a field's point counts are its first draw
+    (_FIELD.sample, lambda rng, size: rng.poisson(_FIELD.expected_points, size), None),
+    (_cascades, _cascades, None),
+], ids=["windows", "fields", "cascades"])
+def test_population_cap_is_per_total_within_a_chunk(monkeypatch, sample, population, first_draw):
+    # the cap draws nothing, so the same stream gives the same chunk at any cap
+    sizes = population(np.random.default_rng(5), 300)
     largest = int(sizes.max())
-    # every window at or under the cap, the chunk's total far above it
+    # every total at or under the cap, the chunk's population far above it
     assert sizes.sum() > largest
-    capped = dataclasses.replace(model, progeny_cap=largest)
-    np.testing.assert_array_equal(capped.sample(np.random.default_rng(5), 300), sizes)
-    # one window past the cap, through its offspring: the immigrant counts,
-    # drawn first, are all under it
-    assert np.random.default_rng(5).poisson(50.0, 300).max() < largest - 1
-    capped = dataclasses.replace(model, progeny_cap=largest - 1)
+    want = sample(np.random.default_rng(5), 300)
+    monkeypatch.setattr(simulate, "POPULATION_CAP", largest)
+    np.testing.assert_array_equal(sample(np.random.default_rng(5), 300), want)
+    # one total past the cap; for windows through its offspring, since the
+    # immigrant counts are all under it
+    if first_draw is not None:
+        assert first_draw(np.random.default_rng(5), 300).max() < largest - 1
+    monkeypatch.setattr(simulate, "POPULATION_CAP", largest - 1)
     with pytest.raises(CapExceeded):
-        capped.sample(np.random.default_rng(5), 300)
+        sample(np.random.default_rng(5), 300)
 
 
 def test_chunked_fields_match_campbell():
@@ -234,7 +258,7 @@ def test_fields_match_the_label_kernel(model, size):
 
 
 @pytest.mark.parametrize("mark", [ExponentialMark(1.0), UniformMark(2.0), CenteredGaussianMark(1.0)])
-def test_window_mark_totals_follow_the_point_counts(mark):
+def test_window_mark_totals_follow_the_point_counts(monkeypatch, mark):
     # mark totals are drawn last from the windows' point counts, so the same
     # stream gives each window the same count whatever its mark law, and a
     # cap that only counts early changes nothing
@@ -245,8 +269,8 @@ def test_window_mark_totals_follow_the_point_counts(mark):
     rng = np.random.default_rng(5)
     unit.sample(rng, 300)
     np.testing.assert_array_equal(got, mark.total(rng, counts))
-    capped = dataclasses.replace(model, progeny_cap=int(counts.max()))
-    np.testing.assert_array_equal(capped.sample(np.random.default_rng(5), 300), got)
+    monkeypatch.setattr(simulate, "POPULATION_CAP", int(counts.max()))
+    np.testing.assert_array_equal(model.sample(np.random.default_rng(5), 300), got)
 
 
 def test_marked_window_mean():
@@ -569,8 +593,13 @@ def test_worker_pool_is_bounded(monkeypatch):
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
-    assert simulate._run_indexed(lambda i: i, 50, 10 ** 6) == list(range(50))
-    assert simulate._run_indexed(lambda i: i, 3, 10 ** 6) == [0, 1, 2]
+    # one chunk a total: chunk c is the c-th draw of stream [0, c]
+    def draw(rng, size):
+        return rng.random(size)
+
+    serial = simulate._replicate(draw, 1, 50, 0, 1)
+    assert np.array_equal(simulate._replicate(draw, 1, 50, 0, 10 ** 6), serial)
+    assert np.array_equal(simulate._replicate(draw, 1, 3, 0, 10 ** 6), serial[:3])
     assert pools == [4, 3]
     model = ClusterModel(1.0, 1e4, PoissonMean(0.5))  # one window a chunk
     many = verify_gaussian_bound(model, 20, seed=3, workers=10 ** 6)
@@ -578,7 +607,7 @@ def test_worker_pool_is_bounded(monkeypatch):
     assert pools == [4, 3, 4]
     assert np.array_equal(many.samples, one.samples)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-    assert simulate._run_indexed(lambda i: i, 50, 10 ** 6) == list(range(50))
+    assert np.array_equal(simulate._replicate(draw, 1, 50, 0, 10 ** 6), serial)
     assert pools == [4, 3, 4]
 
 
@@ -600,7 +629,7 @@ def test_verify_moments_passes():
 def test_verify_moments_binomial():
     report = verify_moments(Binomial(2, 0.25), 20000, seed=6)
     assert report.passed
-    assert np.isclose(per_theory(report, 2), progeny_moment(Binomial(2, 0.25), 2))
+    assert np.isclose(per_theory(report, 2), progeny_moment_table(Binomial(2, 0.25), 2).moments[-1])
 
 
 def per_theory(report, m):
@@ -647,7 +676,7 @@ def test_a_law_needs_only_its_mean_factorial_moments_and_generation_step():
     law = OneChildWithProbability(0.3)
     table = progeny_moment_table(law, 2)
     assert table.moments == progeny_moment_table(Binomial(1, 0.3), 2).moments
-    draws = simulate._sample_progeny_block(law, np.random.default_rng(1), 20000)
+    draws = sample_progeny(law, np.random.default_rng(1), 20000)
     ez, ez2 = table.moments
     assert abs(draws.mean() - ez) <= 4.0 * math.sqrt((ez2 - ez * ez) / draws.size)
 
@@ -658,8 +687,8 @@ def test_only_the_all_zero_factorial_law_samples():
     with pytest.raises(DomainError, match=message):
         ClusterModel(1.0, 1.0, law)
     with pytest.raises(DomainError, match=message):
-        sample_progeny(law, np.random.default_rng(0))
-    assert sample_progeny(FactorialMoments((0.0,)), np.random.default_rng(0)) == 1
+        sample_progeny(law, np.random.default_rng(0), 1)
+    assert sample_progeny(FactorialMoments((0.0,)), np.random.default_rng(0), 1)[0] == 1
 
 
 def test_verify_gaussian_bound_compound_poisson():
