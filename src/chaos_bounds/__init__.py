@@ -15,7 +15,6 @@ from .errors import (
     CapExceeded,
     ChaosBoundsError,
     DivergentIntegral,
-    DivergentModel,
     DomainError,
     EmptyInterval,
     InsufficientMoments,

@@ -39,7 +39,7 @@ from .deviations import (
     nacc_window,
     total_loss_interval,
 )
-from .errors import ChaosBoundsError, DomainError, UnknownFamily
+from .errors import ChaosBoundsError, DomainError, UnknownFamily, check_integer, check_positive
 from .gaussian_bounds import (
     KernelMoments,
     Region,
@@ -270,8 +270,7 @@ def _cmd_moments_series(args):
 
 def _cmd_moments_pmf(args):
     law = parse_offspring(args.offspring)
-    if args.k_max < 1:
-        raise DomainError("--k-max must be >= 1")
+    check_integer("--k-max", args.k_max, 1)
     _check_size("--k-max", args.k_max)
     pmf = [law.pmf(k) for k in range(1, args.k_max + 1)]
     return {"offspring": law.describe(), "k_max": args.k_max, "pmf": pmf}
@@ -354,8 +353,7 @@ def _cmd_verify_bci(args):
     from .simulate import ClusterModel, verify_bci
 
     mark = parse_mark(args.mark)
-    if not (args.delta_scale > 0 and math.isfinite(args.delta_scale)):
-        raise DomainError("--delta-scale must be positive and finite")
+    check_positive("--delta-scale", args.delta_scale)
     if not (0 < args.x_step < math.inf and 0 <= args.x_max < math.inf):
         raise DomainError("need finite --x-step > 0 and --x-max >= 0")
     steps = math.floor(args.x_max / args.x_step + 1e-9)
@@ -548,7 +546,7 @@ def _config_as_flags(parser: _Parser, argv: list) -> list:
 
 def _resolve_run_flags(args) -> None:
     """Resolve the seed of a leaf with run flags in place, then check its
-    replication and worker counts."""
+    worker count; ``simulate`` checks the replication count."""
     raw = os.environ.get(SEED_ENV_VAR)
     if args.seed is None and raw is not None:
         try:
@@ -559,8 +557,6 @@ def _resolve_run_flags(args) -> None:
         args.seed = DEFAULT_SEED
     if not 0 <= args.seed < 2 ** 64:
         raise DomainError("seed must be a 64-bit unsigned integer")
-    if args.reps < 1:
-        raise DomainError("reps must be >= 1")
     if args.workers < 1:
         raise DomainError("workers must be >= 1")
 

@@ -21,7 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError, EmptyInterval, InsufficientMoments, RegimeError
+from .errors import (
+    DomainError,
+    EmptyInterval,
+    InsufficientMoments,
+    RegimeError,
+    check_integer,
+    check_positive,
+)
 from .marks import MarkLaw, mark_abs_moments
 from .progeny import Binomial, OffspringLaw, PoissonMean, progeny_moment_table
 
@@ -49,9 +56,8 @@ def verify_mark_gamma(
     pass.  Comparisons run in log space with a 1e-12 slack so exact-equality
     families (constant marks) are not tripped by rounding.
     """
-    _check_gamma(gamma)
-    if m_max < 3:
-        raise DomainError("m_max must be >= 3")
+    _check_nonnegative("gamma", gamma)
+    check_integer("m_max", m_max, 3)
     if len(abs_moments) < m_max:
         raise InsufficientMoments(
             f"need {m_max} absolute moments, got {len(abs_moments)}"
@@ -61,8 +67,7 @@ def verify_mark_gamma(
     m2 = abs_moments[1]
     for m in range(3, m_max + 1):
         em = abs_moments[m - 1]
-        if em < 0 or not math.isfinite(em):
-            raise DomainError(f"absolute moment of order {m} must be finite and >= 0")
+        _check_nonnegative(f"absolute moment of order {m}", em)
         if em == 0.0:
             continue
         log_lhs = math.log(em)
@@ -72,17 +77,12 @@ def verify_mark_gamma(
     return True, None
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (gamma >= 0):  # NaN fails too
-        raise DomainError("gamma must be >= 0")
-    if gamma == math.inf:
-        raise DomainError("gamma must be finite")
-
-
-def _check_lambda_leb(lambda_leb: float) -> float:
-    if not (lambda_leb > 0 and math.isfinite(lambda_leb)):
-        raise DomainError("lambda_leb must be positive and finite")
-    return lambda_leb
+def _check_nonnegative(name: str, value: float) -> None:
+    """Raise unless value is finite and >= 0."""
+    if not (value >= 0):  # NaN fails too
+        raise DomainError(f"{name} must be >= 0")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite")
 
 
 def delta_poisson(h: float, lambda_leb: float, gamma: float = 0.0) -> DeviationParams:
@@ -93,8 +93,8 @@ def delta_poisson(h: float, lambda_leb: float, gamma: float = 0.0) -> DeviationP
     (case "(i)"), else delta = h nu^3 sqrt(lambda_leb) (case "(ii)").
     """
     PoissonMean(h)  # domain + subcriticality checks
-    _check_gamma(gamma)
-    root = math.sqrt(_check_lambda_leb(lambda_leb))
+    _check_nonnegative("gamma", gamma)
+    root = math.sqrt(check_positive("lambda_leb", lambda_leb))
     nu = h - 1.0 - math.log(h)
     if nu >= 1.0:
         return DeviationParams(gamma, h * root, "(i)")
@@ -112,8 +112,8 @@ def delta_binomial(
     "(ii)1" / "(ii)2").  Boundary values take the first branch.
     """
     Binomial(h, p)  # domain + subcriticality checks
-    _check_gamma(gamma)
-    root = math.sqrt(_check_lambda_leb(lambda_leb))
+    _check_nonnegative("gamma", gamma)
+    root = math.sqrt(check_positive("lambda_leb", lambda_leb))
     if h == 1:
         scale = p / (1.05 * (1.0 - p))
         if p <= _INV_E:
@@ -135,11 +135,9 @@ def bci_bound(gamma: float, delta: float, x: float) -> float:
     Valid for any standardized functional whose cumulants satisfy the
     (gamma, delta) growth condition; values above 1 are reported as-is.
     """
-    _check_gamma(gamma)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise DomainError("delta must be positive and finite")
-    if not (x >= 0):
-        raise DomainError("x must be >= 0")
+    _check_nonnegative("gamma", gamma)
+    check_positive("delta", delta)
+    _check_nonnegative("x", x)
     quad = x * x / 2.0 ** (1.0 + gamma)
     frac = (x * delta) ** (1.0 / (1.0 + gamma))
     return 2.0 * math.exp(-0.25 * min(quad, frac))
@@ -166,37 +164,31 @@ class CumulantConditionReport:
 
 
 def check_cumulant_condition(
-    mark_abs_moments,
-    progeny_moments,
+    marks: list[float],
+    prog: list[float],
     lambda_leb: float,
     gamma: float,
     delta: float,
-    m_max: int | None = None,
+    m_max: int,
 ) -> CumulantConditionReport:
     """Check, for m = 3..m_max, that
 
         E|M|^m E Z^m / ((E M^2)^(m/2) sqrt(lambda_leb)^(m-2))
             <= (m!)^(1+gamma) / delta^(m-2).
 
-    mark_abs_moments[i] is E|M|^(i+1); progeny_moments[i] is E Z^(i+1) (a
-    ProgenyMomentTable is also accepted).  Comparison runs in log space.
+    marks[i] is E|M|^(i+1) and prog[i] is E Z^(i+1).  Comparison runs in log
+    space.
     """
-    prog = list(getattr(progeny_moments, "moments", progeny_moments))
-    marks = list(mark_abs_moments)
-    if m_max is None:
-        m_max = min(len(marks), len(prog))
-    if m_max < 3:
-        raise DomainError("m_max must be >= 3")
+    check_integer("m_max", m_max, 3)
     if len(marks) < m_max or len(prog) < m_max:
         raise InsufficientMoments(
             f"need {m_max} mark and progeny moments, got {len(marks)} and {len(prog)}"
         )
-    if len(marks) < 2 or not marks[1] > 0:
+    if not marks[1] > 0:
         raise DomainError("E M^2 must be present and > 0")
-    _check_lambda_leb(lambda_leb)
-    _check_gamma(gamma)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise DomainError("delta must be positive and finite")
+    check_positive("lambda_leb", lambda_leb)
+    _check_nonnegative("gamma", gamma)
+    check_positive("delta", delta)
 
     log_m2 = math.log(marks[1])
     log_ll = math.log(lambda_leb)
@@ -243,19 +235,17 @@ def cumulant_condition_for_law(
 ) -> CumulantConditionReport:
     """``check_cumulant_condition`` from the exact moments of a mark law and
     an offspring law, up to order m_max."""
-    marks, prog = mark_abs_moments(mark, m_max), progeny_moment_table(law, m_max)
+    marks, prog = mark_abs_moments(mark, m_max), progeny_moment_table(law, m_max).moments
     return check_cumulant_condition(marks, prog, lambda_leb, gamma, delta, m_max)
 
 
 def nacc_window(gamma: float, delta: float, c0: float) -> tuple[float, float]:
     """Interval [0, c0 delta^(1/(1+2 gamma))] on which the normal approximation
     of the tail is accurate to a constant factor."""
-    _check_gamma(gamma)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise DomainError("delta must be positive and finite")
-    if not (c0 > 0 and math.isfinite(c0)):
-        raise DomainError("c0 must be positive and finite")
-    return 0.0, c0 * delta ** (1.0 / (1.0 + 2.0 * gamma))
+    _check_nonnegative("gamma", gamma)
+    check_positive("delta", delta)
+    check_positive("c0", c0)
+    return 0.0, check_positive("the window end", c0 * delta ** (1.0 / (1.0 + 2.0 * gamma)))
 
 
 def mdp_rate_inf(interval: tuple[float, float]) -> float:
@@ -276,14 +266,11 @@ def mdp_rate_inf(interval: tuple[float, float]) -> float:
 def _insurance_checks(lam: float, h: float, mu_mean: float, T: float, strict: bool) -> bool:
     """Check the inputs both corollaries share and return regime_ok; with
     strict=True a regime violation raises instead."""
-    if not (lam > 0 and math.isfinite(lam)):
-        raise DomainError("lam must be positive and finite")
+    check_positive("lam", lam)
     if not (0.0 < h < 1.0):
         raise DomainError("h must lie in (0, 1)")
-    if not (mu_mean > 0 and math.isfinite(mu_mean)):
-        raise DomainError("mu_mean must be positive and finite")
-    if not (T > 0 and math.isfinite(T)):
-        raise DomainError("T must be positive and finite")
+    check_positive("mu_mean", mu_mean)
+    check_positive("T", T)
     nu = h - 1.0 - math.log(h)
     if strict and nu < 1.0:
         raise RegimeError(
@@ -373,19 +360,20 @@ def total_loss_interval(
     with probability at least 1 - 2 exp(-min{x^2/4, sqrt(x h sqrt(lam T))}/4).
 
     A negative confidence (x too small for the horizon) is flagged vacuous,
-    not clamped.
+    not clamped.  bci_bound checks x; an interval past float range raises.
     """
-    if not (x >= 0):
-        raise DomainError("x must be >= 0")
     regime_ok = _insurance_checks(lam, h, mu_mean, T, strict)
+    prob_lower_bound = 1.0 - bci_bound(1.0, h * math.sqrt(lam * T), x)
     center = lam * mu_mean * T / (1.0 - h)
     half_width = x * math.sqrt(2.0 * mu_mean ** 2 * lam * T / (1.0 - h) ** 3)
-    prob_lower_bound = 1.0 - bci_bound(1.0, h * math.sqrt(lam * T), x)
+    upper = center + half_width
+    if not upper < math.inf:  # NaN fails too
+        raise DomainError("the interval leaves float range: upper must be finite")
     return TotalLossInterval(
         center=center,
         half_width=half_width,
         lower=center - half_width,
-        upper=center + half_width,
+        upper=upper,
         prob_lower_bound=prob_lower_bound,
         regime_ok=regime_ok,
         vacuous=prob_lower_bound < 0.0,

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from ChaosBoundsError so callers (and the
-CLI) can map domain problems to a single exit path.
+CLI) can map domain problems to a single exit path.  ``check_positive`` and
+``check_integer`` state the two parameter rules every module shares.
 """
+import math
+import numbers
 
 
 class ChaosBoundsError(Exception):
@@ -29,10 +32,6 @@ class DivergentIntegral(DomainError):
     """The requested attenuation integral diverges (alpha * m <= 2)."""
 
 
-class DivergentModel(DomainError):
-    """The model has no finite mean/variance (interference with alpha <= 2)."""
-
-
 class CapExceeded(ChaosBoundsError):
     """A simulated cascade outgrew the configured progeny cap."""
 
@@ -47,3 +46,17 @@ class RegimeError(DomainError):
 
 class EmptyInterval(DomainError):
     """Interval endpoints are inverted (a > b)."""
+
+
+def check_positive(name: str, value: float) -> float:
+    """value, if it is positive and finite (NaN is not); else a DomainError."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
+    return value
+
+
+def check_integer(name: str, value: int, least: int) -> int:
+    """value, if it is an integer >= least; else a DomainError."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}")
+    return value

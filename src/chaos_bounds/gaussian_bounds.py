@@ -9,15 +9,15 @@ fourth moment of the standardized kernel,
 The concrete calculators only differ in how (m3, m4) are assembled from model
 ingredients: kernel integrals for shot noise, progeny and mark moments over a
 window for cluster / Hawkes processes, power moments and attenuation integrals
-for planar interference.
+for planar interference.  Each then hands them to ``_report``, the one place
+the formula, its sign rule and its float-range check live.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
-from .errors import DivergentIntegral, DomainError
+from .errors import DivergentIntegral, DomainError, check_integer, check_positive
 from .marks import MarkLaw
 from .progeny import OffspringLaw, progeny_moment_table
 
@@ -30,12 +30,9 @@ class Region:
     leb: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError("region intensity must be positive and finite")
-        if not (self.leb > 0 and math.isfinite(self.leb)):
-            raise DomainError("region volume must be positive and finite")
-        if not 0.0 < self.lam * self.leb < math.inf:
-            raise DomainError("region mass lam * leb must be positive and finite")
+        check_positive("region intensity", self.lam)
+        check_positive("region volume", self.leb)
+        check_positive("region mass lam * leb", self.lam * self.leb)
 
 
 @dataclass(frozen=True)
@@ -47,12 +44,9 @@ class KernelMoments:
     i4: float
 
     def __post_init__(self):
-        if not (self.i2 > 0 and math.isfinite(self.i2)):
-            raise DomainError("i2 must be positive and finite")
+        check_positive("i2", self.i2)
         if self.i3_abs < 0 or self.i4 < 0:
             raise DomainError("kernel moments must be >= 0")
-        if not (math.isfinite(self.i3_abs) and math.isfinite(self.i4)):
-            raise DomainError("kernel moments must be finite")
 
 
 @dataclass(frozen=True)
@@ -89,34 +83,34 @@ def _divisor(base: float, exponent: float, factor: float = 1.0) -> float:
     return value
 
 
-def _dk_from(dw: float, m4: float) -> float:
-    return (1.0 + 0.5 * max(4.0, (4.0 * m4 + 2.0) ** 0.25)) * dw + math.sqrt(m4)
+def _report(m3: float, m4: float, inputs: dict) -> GaussianBoundReport:
+    """The bound pair of a first chaos whose normalized kernel has m3 =
+    int |f|^3 and m4 = int f^4; ``inputs`` is the caller's echo.  A bound
+    that leaves float range, through an infinite input or an overflowing
+    quotient, is a DomainError."""
+    if not (m3 >= 0 and m4 >= 0):
+        raise DomainError("kernel moments must be >= 0")
+    dk = (1.0 + 0.5 * max(4.0, (4.0 * m4 + 2.0) ** 0.25)) * m3 + math.sqrt(m4)
+    # an infinite m3 or m4 makes dk infinite or NaN, so this check covers them
+    if not dk < math.inf:
+        raise DomainError("the bound leaves float range: dk_bound must be finite")
+    return GaussianBoundReport(dw_bound=m3, dk_bound=dk, inputs=inputs)
 
 
 def first_chaos_bounds(m3: float, m4: float) -> GaussianBoundReport:
     """Bounds for a normalized first chaos with kernel moments m3 = int |f|^3,
     m4 = int f^4 (and int f^2 = 1)."""
-    if not (m3 >= 0 and m4 >= 0):
-        raise DomainError("kernel moments must be >= 0")
-    if math.inf in (m3, m4):
-        raise DomainError("kernel moments must be finite")
-    return GaussianBoundReport(
-        dw_bound=m3,
-        dk_bound=_dk_from(m3, m4),
-        inputs={"kind": "first-chaos", "m3": m3, "m4": m4},
-    )
+    return _report(m3, m4, {"kind": "first-chaos", "m3": m3, "m4": m4})
 
 
 def shotnoise_bounds(km: KernelMoments) -> GaussianBoundReport:
     """Bounds for a standardized shot-noise functional from its raw kernel
     integrals; invariant under kernel rescaling (i2,i3,i4) -> (c^2 i2, c^3 i3,
     c^4 i4)."""
-    dw = km.i3_abs / _divisor(km.i2, 1.5)
-    r4 = km.i4 / _divisor(km.i2, 2)
-    return GaussianBoundReport(
-        dw_bound=dw,
-        dk_bound=_dk_from(dw, r4),
-        inputs={"kind": "shot-noise", "i2": km.i2, "i3_abs": km.i3_abs, "i4": km.i4},
+    return _report(
+        km.i3_abs / _divisor(km.i2, 1.5),
+        km.i4 / _divisor(km.i2, 2),
+        {"kind": "shot-noise", "i2": km.i2, "i3_abs": km.i3_abs, "i4": km.i4},
     )
 
 
@@ -134,17 +128,13 @@ def compound_cluster_bounds(
     m4 = mark.abs_moment(4)
     if not m2 > 0:
         raise DomainError("E M^2 must be > 0")
-    if not all(math.isfinite(v) for v in (m2, m3, m4, ez3, ez4)):
-        raise DomainError("all moments must be finite")
     if ez3 < 0 or ez4 < 0:
         raise DomainError("progeny moments must be >= 0")
     ll = region.lam * region.leb
-    dw = m3 * ez3 / _divisor(m2, 1.5, math.sqrt(ll))
-    q = m4 * ez4 / _divisor(m2, 2, ll)
-    return GaussianBoundReport(
-        dw_bound=dw,
-        dk_bound=_dk_from(dw, q),
-        inputs={
+    return _report(
+        m3 * ez3 / _divisor(m2, 1.5, math.sqrt(ll)),
+        m4 * ez4 / _divisor(m2, 2, ll),
+        {
             "kind": "compound-cluster",
             "lam": region.lam,
             "leb": region.leb,
@@ -170,15 +160,13 @@ def hertzian_integral(R: float, alpha: float, m: int) -> float:
 
     Diverges unless alpha * m > 2.
     """
-    if not (R > 0 and math.isfinite(R)):
-        raise DomainError("R must be positive and finite")
+    check_positive("R", R)
     if not (alpha > 1 and math.isfinite(alpha)):
         raise DomainError("alpha must be > 1")
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise DomainError("m must be an integer >= 1")
+    check_integer("m", m, 1)
     am = alpha * m
     if am <= 2.0:
-        raise DivergentIntegral(f"alpha * m = {am} <= 2")
+        raise DivergentIntegral(f"alpha * m = {am} <= 2: the attenuation integral diverges")
     return math.pi * am / (am - 2.0) * R ** (2.0 - am)
 
 
@@ -196,19 +184,16 @@ def interference_bounds(
     dw = lam^{-1/2} (E P^3 / (E P^2)^{3/2}) (i3 / i2^{3/2}), with i_m the m-th
     attenuation integral; dk uses m4 = lam^{-1} (E P^4 / (E P^2)^2) (i4 / i2^2).
     """
-    if not (lam > 0 and power2 > 0 and i2 > 0):
-        raise DomainError("lam, power2 and i2 must be > 0")
-    vals = (lam, power2, power3, power4, i2, i3, i4)
-    if any(not math.isfinite(v) for v in vals) or power3 < 0 or power4 < 0:
-        raise DomainError("all inputs must be finite (and moments >= 0)")
-    if i3 < 0 or i4 < 0:
-        raise DomainError("attenuation integrals must be >= 0")
-    dw = (power3 / _divisor(power2, 1.5)) * (i3 / _divisor(i2, 1.5)) / math.sqrt(lam)
-    q = (power4 / _divisor(power2, 2)) * (i4 / _divisor(i2, 2)) / lam
-    return GaussianBoundReport(
-        dw_bound=dw,
-        dk_bound=_dk_from(dw, q),
-        inputs={
+    # an infinite lam would give a finite, wrong bound of 0
+    check_positive("lam", lam)
+    if not (power2 > 0 and i2 > 0):
+        raise DomainError("power2 and i2 must be > 0")
+    if power3 < 0 or power4 < 0 or i3 < 0 or i4 < 0:
+        raise DomainError("power moments and attenuation integrals must be >= 0")
+    return _report(
+        (power3 / _divisor(power2, 1.5)) * (i3 / _divisor(i2, 1.5)) / math.sqrt(lam),
+        (power4 / _divisor(power2, 2)) * (i4 / _divisor(i2, 2)) / lam,
+        {
             "kind": "interference",
             "lam": lam,
             "power2": power2,

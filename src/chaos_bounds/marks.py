@@ -12,12 +12,11 @@ these.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import DomainError, InsufficientMoments, UnknownFamily
+from .errors import DomainError, InsufficientMoments, UnknownFamily, check_integer, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,7 +34,7 @@ class ConstantMark:
     gamma = 0.0
 
     def abs_moment(self, m: int) -> float:
-        _check_order(m)
+        check_integer("moment order", m, 1)
         return abs(self.value) ** m
 
     @property
@@ -62,11 +61,10 @@ class UniformMark:
     gamma = 1.0
 
     def __post_init__(self):
-        if not (self.upper > 0 and math.isfinite(self.upper)):
-            raise DomainError("uniform mark needs upper > 0")
+        check_positive("uniform mark upper", self.upper)
 
     def abs_moment(self, m: int) -> float:
-        _check_order(m)
+        check_integer("moment order", m, 1)
         return self.upper ** m / (m + 1)
 
     @property
@@ -91,11 +89,10 @@ class ExponentialMark:
     gamma = 1.0
 
     def __post_init__(self):
-        if not (self.mean > 0 and math.isfinite(self.mean)):
-            raise DomainError("exponential mark needs mean > 0")
+        check_positive("exponential mark mean", self.mean)
 
     def abs_moment(self, m: int) -> float:
-        _check_order(m)
+        check_integer("moment order", m, 1)
         return math.factorial(m) * self.mean ** m
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -117,11 +114,10 @@ class CenteredGaussianMark:
     gamma = 0.5
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError("centered Gaussian mark needs sigma > 0")
+        check_positive("centered Gaussian mark sigma", self.sigma)
 
     def abs_moment(self, m: int) -> float:
-        _check_order(m)
+        check_integer("moment order", m, 1)
         return (
             self.sigma ** m
             * 2.0 ** (m / 2.0)
@@ -171,7 +167,7 @@ class CustomAbsMoments:
                 )
 
     def abs_moment(self, m: int) -> float:
-        _check_order(m)
+        check_integer("moment order", m, 1)
         if m > len(self.moments):
             raise InsufficientMoments(
                 f"order {m} requested, only {len(self.moments)} stored"
@@ -198,11 +194,6 @@ class CustomAbsMoments:
 MarkLaw = Union[
     ConstantMark, UniformMark, ExponentialMark, CenteredGaussianMark, CustomAbsMoments
 ]
-
-
-def _check_order(m: int) -> None:
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise DomainError("moment order must be an integer >= 1")
 
 
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ certified by that bound, as an independent oracle.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from itertools import takewhile
@@ -35,6 +34,7 @@ from .errors import (
     InsufficientMoments,
     NoConvergence,
     SupercriticalError,
+    check_integer,
 )
 
 if TYPE_CHECKING:
@@ -45,12 +45,6 @@ if TYPE_CHECKING:
 SUBCRITICAL_SLACK = 1e-9
 
 _SERIES_MAX_TERMS = 2_000_000
-
-
-def _check_k(k: int) -> int:
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise DomainError("the total progeny pmf needs integer k >= 1")
-    return k
 
 
 def _check_mean(mean: float) -> None:
@@ -93,7 +87,7 @@ class PoissonMean:
 
     def pmf(self, k: int) -> float:
         """P(Z = k) of the cascade's total progeny (Borel)."""
-        return math.exp(self.log_pmf(_check_k(k)))
+        return math.exp(self.log_pmf(check_integer("k", k, 1)))
 
     @property
     def pmf_ratio_bound(self) -> tuple[float, float]:
@@ -113,8 +107,7 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.h, numbers.Integral) and self.h >= 1):
-            raise DomainError("Binomial offspring needs integer h >= 1")
+        check_integer("Binomial offspring h", self.h, 1)
         # a subnormal p would round pmf_ratio_bound below the true ratio
         if not (sys.float_info.min <= self.p < 1.0):
             raise DomainError("Binomial offspring needs 0 < p < 1, a normal float")
@@ -153,7 +146,7 @@ class Binomial:
 
     def pmf(self, k: int) -> float:
         """P(Z = k) of the cascade's total progeny (Consul)."""
-        return math.exp(self.log_pmf(_check_k(k)))
+        return math.exp(self.log_pmf(check_integer("k", k, 1)))
 
     @property
     def pmf_ratio_bound(self) -> tuple[float, float]:
@@ -233,9 +226,7 @@ OffspringLaw = Union[PoissonMean, Binomial, FactorialMoments]
 
 def factorial_moments(law: OffspringLaw, n_max: int) -> list[float]:
     """[E(P)_1, ..., E(P)_{n_max}] for the offspring variable P."""
-    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
-        raise DomainError("n_max must be an integer >= 1")
-    return law.factorial_moments(n_max)
+    return law.factorial_moments(check_integer("n_max", n_max, 1))
 
 
 def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
@@ -250,8 +241,7 @@ def _moment_sequence(law: OffspringLaw, n: int) -> list[float]:
     where [u^i]_order (i >= 2) needs only c_1..c_{order-1}.  Each order costs
     O(order^2) and every term is >= 0, so nothing cancels.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise DomainError("moment order must be an integer >= 1")
+    check_integer("moment order", n, 1)
     ep = law.mean
     _check_mean(ep)
     # 1/j! is 0.0 in float64 from j = 178 on, so only its nonzero head is computed
@@ -309,19 +299,22 @@ def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:
     bounds t_{j+1}/t_j for all j >= k, with t_j = j^m pmf(j), since the
     polynomial factor contributes (1+1/j)^m <= (1+1/k)^m.  The sum stops
     once the dominating tail bound t_k r/(1-r) drops below rel_tol times the
-    partial sum.
+    partial sum.  r falls as k grows, so a law whose r is still >= 1 at the
+    last allowed term can never be certified, and fails before any term.
     """
-    if not (isinstance(m, numbers.Integral) and m >= 0):
-        raise DomainError("m must be an integer >= 0")
+    check_integer("m", m, 0)
     if not rel_tol > 0:
         raise DomainError("rel_tol must be > 0")
     q, c = law.pmf_ratio_bound
     if m == 0:
         return 1.0
+    last = _SERIES_MAX_TERMS
+    if (1.0 + 1.0 / last) ** m * q * math.exp(c / last) >= 1.0:
+        raise NoConvergence(f"the ratio bound is >= 1 at term {last}: no term can certify the tail")
     # k runs over 1, 2, ..., so the terms skip pmf's check of k
     log_pmf = law.log_pmf
     total = 0.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
+    for k in range(1, last + 1):
         # e^{0/k} = 1 exactly, and skipping the exp saves ~5% of a series
         ratio = (1.0 + 1.0 / k) ** m * q * (math.exp(c / k) if c else 1.0)
         term = float(k) ** m * math.exp(log_pmf(k))
@@ -330,9 +323,7 @@ def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:
             tail = term * ratio / (1.0 - ratio)
             if tail <= rel_tol * total:
                 return total
-    raise NoConvergence(
-        f"ratio test did not certify within {_SERIES_MAX_TERMS} terms"
-    )
+    raise NoConvergence(f"ratio test did not certify within {last} terms")
 
 
 @dataclass(frozen=True)
@@ -366,8 +357,7 @@ def abel_plana_bound(nu: float, m: int) -> CertifiedSum:
     """
     if not nu > 0:
         raise DomainError("nu must be > 0")
-    if not (isinstance(m, numbers.Integral) and m >= 2):
-        raise DomainError("m must be an integer >= 2")
+    check_integer("m", m, 2)
     center = nu ** (-m) * math.factorial(m - 1)
     radius = 1.0 / (math.pi * (m - 1)) + 2.0 * math.factorial(m - 1) / math.pi ** m
     return CertifiedSum(center=center, radius=radius)

@@ -41,7 +41,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .deviations import bci_bound, cumulant_condition_for_law
-from .errors import CapExceeded, DivergentModel, DomainError
+from .errors import CapExceeded, DomainError, check_positive
 from .gaussian_bounds import (
     GaussianBoundReport,
     Region,
@@ -77,7 +77,8 @@ class ClusterModel:
     surviving point carries an iid mark.  The observable is the mark total.
 
     A FactorialMoments offspring law is only simulable in the degenerate
-    all-zero case (no offspring at all, i.e. a compound Poisson total).
+    all-zero case (no offspring at all, i.e. a compound Poisson total).  lam
+    and horizon follow the rules of the bounds' ``Region(lam, horizon)``.
     """
 
     lam: float
@@ -87,18 +88,14 @@ class ClusterModel:
     delay_rate: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError("lam must be positive and finite")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise DomainError("horizon must be positive and finite")
+        Region(self.lam, self.horizon)
         if not isinstance(self.offspring, (PoissonMean, Binomial, FactorialMoments)):
             raise DomainError(f"unsupported offspring law: {self.offspring!r}")
         if isinstance(self.offspring, FactorialMoments):
             self.offspring.check_samplable()
         if isinstance(self.mark, CustomAbsMoments):
             raise DomainError("a moment-only mark law cannot be sampled")
-        if not (self.delay_rate > 0 and math.isfinite(self.delay_rate)):
-            raise DomainError("delay_rate must be positive and finite")
+        check_positive("delay_rate", self.delay_rate)
 
     @property
     def expected_points(self) -> float:
@@ -186,7 +183,9 @@ class InterferenceModel:
     adds back that mean (``farfield_mean``).  Sampled totals are therefore
     exact in mean only: the far field's fluctuation is dropped, so their
     variance falls short of the exact one by 2 pi lam E P^2 rho^(2 - 2 alpha)
-    / (2 alpha - 2), which shrinks as tail_eps does.
+    / (2 alpha - 2), which shrinks as tail_eps does.  radius and alpha follow
+    the rules of ``hertzian_integral(radius, alpha, 1)``, the integral the
+    mean needs, so alpha must exceed 2.
     """
 
     lam: float
@@ -196,18 +195,9 @@ class InterferenceModel:
     tail_eps: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError("lam must be positive and finite")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise DomainError("radius must be positive and finite")
-        if not math.isfinite(self.alpha):
-            raise DomainError("alpha must be finite")
-        if self.alpha <= 2.0:
-            raise DivergentModel(
-                f"alpha = {self.alpha} <= 2: the interference integral diverges"
-            )
-        if not (self.tail_eps > 0 and math.isfinite(self.tail_eps)):
-            raise DomainError("tail_eps must be positive and finite")
+        check_positive("lam", self.lam)
+        hertzian_integral(self.radius, self.alpha, 1)
+        check_positive("tail_eps", self.tail_eps)
         if isinstance(self.power, CustomAbsMoments):
             raise DomainError("a moment-only power law cannot be sampled")
         # E P = E|P| exactly when P >= 0 almost surely
@@ -496,9 +486,7 @@ def verify_bci(
     xs = [float(x) for x in x_grid]
     if not xs:
         raise DomainError("x_grid must be nonempty")
-    if any(not (x >= 0) for x in xs):
-        raise DomainError("x_grid values must be >= 0")
-    # the deterministic half first, so a bad input fails before any draw
+    # the deterministic half first (bci_bound checks each x), so a bad input fails before any draw
     bounds = [bci_bound(gamma, delta, x) for x in xs]
     cumulant = cumulant_condition_for_law(
         scenario.mark, scenario.offspring, scenario.lam * scenario.horizon, gamma, delta, m_max

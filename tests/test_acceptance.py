@@ -179,7 +179,7 @@ def test_criterion_08_cumulant_suite():
     with criterion("criterion 08 cumulant suite", 1.0) as c:
         marks = mark_abs_moments(ConstantMark(1.0), 12)
         for h in H_GRID:
-            table = progeny_moment_table(PoissonMean(h), 12)
+            table = progeny_moment_table(PoissonMean(h), 12).moments
             for ll in (1e2, 1e4, 1e6):
                 delta = delta_poisson(h, ll).delta
                 rep = check_cumulant_condition(marks, table, ll, 0.0, delta, 12)

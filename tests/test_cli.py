@@ -207,6 +207,29 @@ def test_normalizer_out_of_float_range_exit_2(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # a finite normalizer whose quotient overflows: dk is infinite
+    "bounds first-chaos --m3 1e308 --m4 1e308",
+    "bounds shot-noise --i2 1e-100 --i3 1e200 --i4 1",
+    "bounds compound-cluster --lambda 1 --leb 1e-300 --ez3 1e300 --ez4 1",
+    "bounds hawkes-poisson --lambda 1 --leb 1e-320 --h 0.5",
+    "bounds hawkes-binomial --lambda 1 --leb 1e-320 --h 3 --p 0.2",
+    "bounds interference --lambda 1e-310 --R 1 --alpha 4",
+    # an infinite x, and a window end past float range
+    "tail interval --lambda 1 --h 0.5 --mu 1 --T 1e4 --x inf",
+    "tail bci --gamma 0 --delta 1 --x inf",
+    "tail nacc --gamma 0 --delta 1e308 --c0 10",
+    # finite inputs whose interval center overflows
+    "tail interval --lambda 1 --h 0.5 --mu 1e100 --T 1e250 --x 1",
+])
+def test_bound_or_interval_past_float_range_exit_2(argv):
+    # each of these used to print JSON's non-standard Infinity with exit 0
+    code, out, err = run_main(*argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     # E M^4 = 1e400
     "bounds compound-cluster --lambda 1 --leb 1e4 --ez3 1 --ez4 1 --mark const:1e100",
     "bounds hawkes-poisson --lambda 1 --leb 1e4 --h 0.5 --mark gauss:1e100",

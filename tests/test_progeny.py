@@ -20,6 +20,7 @@ from chaos_bounds import (
     DomainError,
     FactorialMoments,
     InsufficientMoments,
+    NoConvergence,
     PoissonMean,
     SupercriticalError,
     abel_plana_bound,
@@ -451,6 +452,17 @@ def test_series_edge_cases():
         progeny_moment_series(PoissonMean(0.5), 2, 0.0)
     with pytest.raises(DomainError):
         progeny_moment_series(PoissonMean(0.5), -1, 1e-10)
+
+
+def test_series_that_cannot_certify_fails_before_summing(monkeypatch):
+    # q e^{c/K} (1 + 1/K)^3 at K = 2e6 is 1.0000025 for Binomial(3, 0.33333),
+    # and the ratio bound only falls with k, so no term could certify the tail
+    def no_term(self, k):
+        raise AssertionError("summed a term of a series that cannot certify")
+
+    monkeypatch.setattr(Binomial, "log_pmf", no_term)
+    with pytest.raises(NoConvergence):
+        progeny_moment_series(Binomial(3, 0.33333), 3, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from chaos_bounds import (
     ClusterModel,
     ConstantMark,
     CustomAbsMoments,
-    DivergentModel,
+    DivergentIntegral,
     DomainError,
     ExponentialMark,
     FactorialMoments,
@@ -54,6 +54,9 @@ def test_cluster_model_validation():
         ClusterModel(0.0, 1.0, PoissonMean(0.5))
     with pytest.raises(DomainError):
         ClusterModel(1.0, 0.0, PoissonMean(0.5))
+    # lam and horizon follow Region's rules, its finite mass lam T included
+    with pytest.raises(DomainError):
+        ClusterModel(1e300, 1e300, PoissonMean(0.5))
     with pytest.raises(DomainError):
         ClusterModel(1.0, 1.0, FactorialMoments((0.5, 0.1)))
     with pytest.raises(DomainError):
@@ -63,7 +66,7 @@ def test_cluster_model_validation():
 
 
 def test_interference_model_validation():
-    with pytest.raises(DivergentModel):
+    with pytest.raises(DivergentIntegral):
         InterferenceModel(1.0, 1.0, 2.0)
     with pytest.raises(DomainError):
         InterferenceModel(1.0, 1.0, 4.0, power=CenteredGaussianMark(1.0))
@@ -564,9 +567,10 @@ def test_chunk_sizes(monkeypatch):
     assert model.expected_points == pytest.approx(2500.0) and chunk_of(model) == 13  # 2^15 / 2500
     # fewer than one expected point still counts as one
     assert chunk_of(ClusterModel(1e-3, 1.0, PoissonMean(0.5))) == 2 ** 15
-    # this window's variance is not finite either, so a scenario with finite
-    # moments carries its point count to the chunk rule
-    assert ClusterModel(1e300, 1e300, ZERO_OFFSPRING).expected_points == math.inf
+    # lam T = 1e308 is finite, but lam T / (1 - E P) is not; this window's
+    # variance is not finite either, so a scenario with finite moments
+    # carries its point count to the chunk rule
+    assert ClusterModel(1e300, 1e8, PoissonMean(0.5)).expected_points == math.inf
     assert chunk_of(NormalScenario(expected_points=math.inf)) == 1
     # lam pi rho^2 = 50 pi (5 pi) = 2467 expected points
     model = InterferenceModel(50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
