@@ -251,7 +251,9 @@ def nacc_window(gamma: float, delta: float, c0: float) -> tuple[float, float]:
 def mdp_rate_inf(interval: tuple[float, float]) -> float:
     """Infimum of the Gaussian rate x^2/2 over a closed interval.
 
-    Infinite endpoints are allowed; an empty interval (a > b) raises."""
+    Infinite endpoints are allowed, and give an infinite rate when the
+    interval lies past one; a finite edge whose rate overflows raises, as
+    does an empty interval (a > b)."""
     a, b = interval
     if math.isnan(a) or math.isnan(b):
         raise DomainError("interval endpoints must not be NaN")
@@ -260,7 +262,10 @@ def mdp_rate_inf(interval: tuple[float, float]) -> float:
     if a <= 0.0 <= b:
         return 0.0
     edge = a if a > 0 else b
-    return edge * edge / 2.0
+    rate = edge * edge / 2.0
+    if rate == math.inf and math.isfinite(edge):
+        raise DomainError("the rate leaves float range: rate_inf must be finite")
+    return rate
 
 
 def _insurance_checks(lam: float, h: float, mu_mean: float, T: float, strict: bool) -> bool:
@@ -312,14 +317,20 @@ def insurance_tail_report(
     that the horizon-T total reaches k times its expectation.
 
     The mark scale mu_mean cancels from the standardized deviation, so it
-    only rides along in the echo.
+    only rides along in the echo.  A threshold or exponent past float range
+    raises.
     """
     if not (k > 1.0 and math.isfinite(k)):
         raise DomainError("k must be > 1")
     regime_ok = _insurance_checks(lam, h, mu_mean, T, strict)
-    t_threshold = 2 ** 5.5 * h / ((k - 1) ** 3 * lam * (1 - h) ** 1.5)
+    denominator = (k - 1) ** 3 * lam * (1 - h) ** 1.5
+    t_threshold = 2 ** 5.5 * h / denominator if denominator > 0.0 else math.inf
     lin = (k - 1) ** 2 * lam * (1 - h) * T / 8.0
     sqr = math.sqrt((k - 1) * lam * h * math.sqrt((1 - h) / 2.0) * T)
+    for name, value in (("t_threshold", t_threshold), ("linear_exponent", lin),
+                        ("sqrt_exponent", sqr)):
+        if not value < math.inf:
+            raise DomainError(f"the bound leaves float range: {name} must be finite")
     simplified = T >= t_threshold
     exponent = sqr if simplified else min(lin, sqr)
     bound = 2.0 * math.exp(-exponent / 4.0)

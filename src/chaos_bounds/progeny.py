@@ -77,8 +77,9 @@ class PoissonMean:
     def next_generation(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """The parent index of every child of n individuals, by Poisson
         splitting: Poisson(n h) children in all, each given a uniform parent,
-        which is exactly n independent Poisson(h) counts."""
-        return rng.integers(0, n, rng.poisson(self.h * n))
+        which is exactly n independent Poisson(h) counts.  The count goes in
+        as a Python int, since numpy sizes a numpy integer through np.prod."""
+        return rng.integers(0, n, int(rng.poisson(self.h * n)))
 
     def log_pmf(self, k: int) -> float:
         """log P(Z = k) = -hk + (k-1) log(hk) - log k! (Borel); k unchecked."""

@@ -7,9 +7,11 @@ Gaussian bounds (``bounds``), so the verify drivers never ask its type.
 
 Cluster windows and progeny cascades are exact: both grow one generation at
 a time through the offspring law's own generation step
-(``law.next_generation``).  Interference fields are truncated at a radius
-whose discarded far field has mean at most ``tail_eps``; that mean is added
-back, so the total's mean is exact but its variance is not
+(``law.next_generation``).  An interference field is drawn exactly inside a
+truncation radius rho, and the field beyond rho is one normal draw with its
+exact mean and variance, so the total's mean and variance are both exact;
+rho is chosen so that the first-chaos bound certifies that normal's W1 error
+within the sd of the field beyond the radius where its mean is ``tail_eps``
 (``InterferenceModel``).  Every sampler raises ``CapExceeded`` once one
 total's population, expected or drawn, passes ``POPULATION_CAP``.
 
@@ -36,6 +38,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -178,14 +181,20 @@ class InterferenceModel:
     of intensity lam on R^2, each emits an iid power, and the received signal
     decays like max{radius, distance}^(-alpha).
 
-    Simulation truncates the plane at ``truncation_radius`` rho, chosen so
-    the expected discarded far-field contribution is at most tail_eps, and
-    adds back that mean (``farfield_mean``).  Sampled totals are therefore
-    exact in mean only: the far field's fluctuation is dropped, so their
-    variance falls short of the exact one by 2 pi lam E P^2 rho^(2 - 2 alpha)
-    / (2 alpha - 2), which shrinks as tail_eps does.  radius and alpha follow
-    the rules of ``hertzian_integral(radius, alpha, 1)``, the integral the
-    mean needs, so alpha must exceed 2.
+    Simulation draws every transmitter inside ``truncation_radius`` rho
+    exactly and the field beyond rho as one normal draw with that field's
+    exact mean and variance (``far_field``), so sampled totals have exactly
+    ``mean_var``'s mean and variance.  The field beyond rho is a first chaos
+    with kernel f = P r^(-alpha), so by the first-chaos bound its W1 distance
+    to that normal is at most lam int |f|^3 / (lam int f^2) = c rho^(-alpha),
+    c = (E P^3 / E P^2) (2 alpha - 2) / (3 alpha - 2).
+
+    tail_eps sets the accuracy target w: the sd of the field beyond rho_eps,
+    the radius where that field's mean is tail_eps, which bounds the W1 error
+    of replacing that field by its mean.  rho is the least radius >= radius
+    with c rho^(-alpha) <= w, so a smaller tail_eps gives a larger rho.
+    radius and alpha follow the rules of ``hertzian_integral(radius, alpha,
+    1)``, the integral the mean needs, so alpha must exceed 2.
     """
 
     lam: float
@@ -204,26 +213,34 @@ class InterferenceModel:
         if self.power.mean != self.power.abs_moment(1):
             raise DomainError("emitted powers must be nonnegative")
 
-    @property
+    @cached_property
     def truncation_radius(self) -> float:
-        mean_p = self.power.abs_moment(1)
-        a = self.alpha
-        rho = (2.0 * math.pi * self.lam * mean_p / ((a - 2.0) * self.tail_eps)) ** (
-            1.0 / (a - 2.0)
-        )
-        return max(self.radius, rho)
+        """rho = max{radius, (c / w)^(1/alpha)}.  With k2 = 2 pi lam E P^2 / (2 alpha
+        - 2), w = sqrt(k2) rho_eps^(1 - alpha) is the far field's sd beyond
+        rho_eps = max{radius, (2 pi lam E P / ((alpha - 2) tail_eps))^(1/(alpha - 2))};
+        (c / w)^(1/alpha) is taken as (c / sqrt k2)^(1/alpha) rho_eps^((alpha - 1)
+        / alpha), so an underflowing w divides nothing by 0.  A zero power has
+        no field: rho = radius."""
+        p1, p2, p3 = (self.power.abs_moment(m) for m in (1, 2, 3))
+        a, R = self.alpha, self.radius
+        if p2 == 0.0:
+            return R
+        scale = 2.0 * math.pi * self.lam
+        rho_eps = max(R, (scale * p1 / ((a - 2.0) * self.tail_eps)) ** (1.0 / (a - 2.0)))
+        c = p3 / p2 * (2.0 * a - 2.0) / (3.0 * a - 2.0)
+        k2 = scale * p2 / (2.0 * a - 2.0)
+        return max(R, (c / math.sqrt(k2)) ** (1.0 / a) * rho_eps ** ((a - 1.0) / a))
 
-    @property
-    def farfield_mean(self) -> float:
-        a = self.alpha
-        rho = self.truncation_radius
+    @cached_property
+    def far_field(self) -> tuple[float, float]:
+        """(mean, variance) of the field beyond rho, by Campbell:
+        2 pi lam E P rho^(2 - alpha) / (alpha - 2) and
+        2 pi lam E P^2 rho^(2 - 2 alpha) / (2 alpha - 2)."""
+        a, rho = self.alpha, self.truncation_radius
+        scale = 2.0 * math.pi * self.lam
         return (
-            2.0
-            * math.pi
-            * self.lam
-            * self.power.abs_moment(1)
-            * rho ** (2.0 - a)
-            / (a - 2.0)
+            scale * self.power.abs_moment(1) * rho ** (2.0 - a) / (a - 2.0),
+            scale * self.power.abs_moment(2) * rho ** (2.0 - 2.0 * a) / (2.0 * a - 2.0),
         )
 
     @property
@@ -232,10 +249,11 @@ class InterferenceModel:
         return self.lam * math.pi * self.truncation_radius ** 2
 
     def sample(self, rng, size: int) -> np.ndarray:
-        """Interference totals of ``size`` independent fields, far-field mean
-        added back.  Draw order: point counts, radii, then powers; field i's
-        points are the i-th run of ``n[i]`` draws.  ``POPULATION_CAP`` bounds
-        lam pi rho^2 before any draw, then each field's count.
+        """Interference totals of ``size`` independent fields.  Draw order:
+        point counts, radii, powers, then one far-field normal per field;
+        field i's points are the i-th run of ``n[i]`` draws.
+        ``POPULATION_CAP`` bounds lam pi rho^2 before any draw, then each
+        field's count.
 
         Radial symmetry of the attenuation makes angles irrelevant, so only radii
         are drawn: r^2 = rho^2 U for the disk of truncation radius rho, and the
@@ -253,7 +271,8 @@ class InterferenceModel:
         np.maximum(signal, self.radius * self.radius, out=signal)
         signal **= -0.5 * self.alpha
         signal *= self.power.sample(rng, points)
-        return segment_sums(signal, n) + self.farfield_mean
+        far_mean, far_var = self.far_field
+        return segment_sums(signal, n) + rng.normal(far_mean, math.sqrt(far_var), size)
 
     def mean_var(self) -> tuple[float, float]:
         """Exact (mean, variance) of the untruncated total, by Campbell:

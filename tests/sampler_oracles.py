@@ -4,7 +4,8 @@
 for ``InterferenceModel.sample``, which sums each field's points by segment.
 Every point carries its field's label and one weighted ``np.bincount`` gives
 the totals; the draws are the model's own, in its order (point counts,
-radii, powers), so tests compare the two on one stream at 1e-12 relative.
+radii, powers, far-field normals), so tests compare the two on one stream
+at 1e-12 relative.
 
 ``kolmogorov_by_scipy`` and ``wasserstein_by_scipy`` are the empirical
 distances computed with scipy's Phi and Phi^{-1} (``ndtr``, ``ndtri``),
@@ -17,13 +18,15 @@ from scipy.special import ndtr, ndtri
 
 
 def interference_by_labels(model, rng, size: int) -> np.ndarray:
-    """Interference totals of ``size`` fields, far-field mean added back."""
+    """Interference totals of ``size`` fields, one far-field normal each."""
     rho = model.truncation_radius
     n = rng.poisson(model.lam * math.pi * rho * rho, size)
     labels = np.repeat(np.arange(size), n)
     signal = np.maximum(rng.random(labels.size) * (rho * rho), model.radius * model.radius)
     signal = signal ** (-0.5 * model.alpha) * model.power.sample(rng, labels.size)
-    return np.bincount(labels, weights=signal, minlength=size) + model.farfield_mean
+    far_mean, far_var = model.far_field
+    far = rng.normal(far_mean, math.sqrt(far_var), size)
+    return np.bincount(labels, weights=signal, minlength=size) + far
 
 
 def kolmogorov_by_scipy(samples) -> float:

@@ -220,6 +220,13 @@ def test_normalizer_out_of_float_range_exit_2(argv):
     "tail nacc --gamma 0 --delta 1e308 --c0 10",
     # finite inputs whose interval center overflows
     "tail interval --lambda 1 --h 0.5 --mu 1e100 --T 1e250 --x 1",
+    # an insurance threshold past float range, and one whose denominator underflows to 0
+    "tail insurance --lambda 1e-300 --h 0.5 --mu 1 --T 64 --k 1.0000001",
+    "tail insurance --lambda 1e-310 --h 0.5 --mu 1 --T 64 --k 1.0000001",
+    # insurance exponents past float range
+    "tail insurance --lambda 1e300 --T 1e300 --h 0.5 --mu 1 --k 2",
+    # a finite edge whose rate edge^2 / 2 overflows; the infinite endpoint is allowed
+    "tail mdp --lower=1e200 --upper=inf",
 ])
 def test_bound_or_interval_past_float_range_exit_2(argv):
     # each of these used to print JSON's non-standard Infinity with exit 0
@@ -282,9 +289,9 @@ def test_infinite_input_exit_2(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # rho = 1.6e8 puts 7.9e16 expected points in a field
+    # rho = 5.6e4 puts 9.9e9 expected points in a field
     "verify gauss --scenario interference --lambda 1 --R 1 --alpha 2.5 --tail-eps 1e-3",
-    # and rho = 1e78, 3e156 points, past numpy's Poisson range
+    # and rho = 4e40, 5e81 points, past numpy's Poisson range
     "verify gauss --scenario interference --lambda 1 --R 1 --alpha 2.1 --tail-eps 1e-6",
     # 1e20 expected immigrants in a window
     "verify gauss --scenario hawkes-poisson --h 0.5 --T 1e20",

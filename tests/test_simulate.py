@@ -91,15 +91,58 @@ def test_interference_model_rejects_a_nan_power():
         InterferenceModel(1.0, 1.0, 4.0, power=ConstantMark(math.nan))
 
 
+def _accuracy_target(model):
+    """(c, w): the far field beyond rho has certified W1 error c rho^(-alpha),
+    and w is the sd of the field beyond rho_eps, where its mean is tail_eps."""
+    p1, p2, p3 = (model.power.abs_moment(m) for m in (1, 2, 3))
+    lam, R, a = model.lam, model.radius, model.alpha
+    rho_eps = max(R, (2.0 * math.pi * lam * p1 / ((a - 2.0) * model.tail_eps)) ** (1.0 / (a - 2.0)))
+    w = math.sqrt(2.0 * math.pi * lam * p2 * rho_eps ** (2.0 - 2.0 * a) / (2.0 * a - 2.0))
+    return p3 / p2 * (2.0 * a - 2.0) / (3.0 * a - 2.0), w
+
+
 def test_interference_truncation_radius():
     m = InterferenceModel(50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
-    # rho solves 2 pi lam E P rho^{2-alpha} / (alpha-2) = tail_eps
-    want = (2.0 * math.pi * 50.0 / (2.0 * 10.0)) ** 0.5
-    assert np.isclose(m.truncation_radius, want, rtol=1e-12)
-    assert np.isclose(m.farfield_mean, 10.0, rtol=1e-12)
+    # rho_eps = (2 pi lam E P / ((alpha - 2) tail_eps))^(1/2) = sqrt(5 pi), where the
+    # far field's mean is tail_eps; w = sqrt(2 pi lam E P^2 / 6) rho_eps^-3 is the
+    # sd beyond it, and rho = (c / w)^(1/4) for c = (E P^3 / E P^2) (6 / 10) = 1.8
+    rho_eps = math.sqrt(5.0 * math.pi)
+    w = math.sqrt(2.0 * math.pi * 50.0 * 2.0 / 6.0) / rho_eps ** 3
+    assert m.truncation_radius == pytest.approx((1.8 / w) ** 0.25, rel=1e-12)
+    assert m.truncation_radius == pytest.approx(1.8191, abs=1e-4)
+    # the far field's exact mean and variance beyond rho
+    rho = m.truncation_radius
+    mean, var = m.far_field
+    assert mean == pytest.approx(2.0 * math.pi * 50.0 / 2.0 / rho ** 2, rel=1e-12)
+    assert var == pytest.approx(2.0 * math.pi * 50.0 * 2.0 / 6.0 / rho ** 6, rel=1e-12)
     # a huge tail_eps never truncates inside the near field
-    m = InterferenceModel(0.01, 3.0, 4.0, tail_eps=1e6)
+    m = InterferenceModel(1.0, 3.0, 4.0, tail_eps=1e6)
     assert m.truncation_radius == 3.0
+    # a zero power has no field to certify
+    m = InterferenceModel(1.0, 2.0, 4.0, power=ConstantMark(0.0))
+    assert m.truncation_radius == 2.0 and m.far_field == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 5.0, 50.0])
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize(
+    "power", [ConstantMark(1.0), ExponentialMark(1.0), UniformMark(2.0)],
+    ids=["const", "exp", "uniform"],
+)
+def test_truncation_radius_certifies_the_target(lam, radius, alpha, power):
+    # the far field's certified W1 error never exceeds the target, rho never
+    # drops below R, and a smaller tail_eps never gives a smaller rho; the
+    # 1e-12 slack is the rounding of rho = (c / w)^(1/alpha), where the rule
+    # is an equality
+    last = 0.0
+    for eps in (1e6, 10.0, 1.0, 1e-3):
+        model = InterferenceModel(lam, radius, alpha, power=power, tail_eps=eps)
+        rho = model.truncation_radius
+        c, w = _accuracy_target(model)
+        assert c * rho ** -alpha <= w * (1.0 + 1e-12)
+        assert rho >= radius and rho >= last
+        last = rho
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +275,23 @@ def test_population_cap_is_per_total_within_a_chunk(monkeypatch, sample, populat
 
 
 def test_chunked_fields_match_campbell():
-    # 200 fields to a chunk; a sampled field lacks the far field's variance
-    # 2 pi lam E P^2 rho^(2 - 2 alpha) / (2 alpha - 2)
-    model = InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0)
+    # 200 fields to a chunk at the golden field, where rho = 1.056 is barely
+    # past R and the field beyond rho carries 18% of the variance: totals that
+    # drew only its mean would read ~6.9 against the exact 8.38
+    model = InterferenceModel(1.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
     rng = np.random.default_rng(203)
     x = np.concatenate([model.sample(rng, 200) for _ in range(50)])
-    mean, exact_var = model.mean_var()
-    rho, a = model.truncation_radius, model.alpha
-    want_var = exact_var - 2.0 * math.pi * 5.0 * 2.0 * rho ** (2.0 - 2.0 * a) / (2.0 * a - 2.0)
-    var = x.var(ddof=1)
-    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(var / x.size)
+    mean, var = model.mean_var()
+    assert var == pytest.approx(8.3776, abs=1e-4)
+    assert model.far_field[1] > 0.18 * var
+    got = x.var(ddof=1)
+    assert abs(x.mean() - mean) <= 4.0 * math.sqrt(got / x.size)
     fourth = np.mean((x - x.mean()) ** 4)
-    assert abs(var - want_var) <= 4.0 * math.sqrt((fourth - var * var) / x.size)
+    assert abs(got - var) <= 4.0 * math.sqrt((fourth - got * got) / x.size)
 
 
 @pytest.mark.parametrize("model, size", [
-    # 0.28 expected points: most fields of the chunk are empty
+    # 0.40 expected points: most fields of the chunk hold only the far field
     (InterferenceModel(0.01, 3.0, 4.0, tail_eps=1e6), 400),
     (InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0), 200),
     (InterferenceModel(50.0, 1.0, 4.0, power=UniformMark(2.0), tail_eps=10.0), 1),
@@ -257,7 +301,8 @@ def test_fields_match_the_label_kernel(model, size):
     want = interference_by_labels(model, np.random.default_rng(77), size)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     if size == 400:
-        assert np.count_nonzero(got == model.farfield_mean) > size // 2
+        counts = np.random.default_rng(77).poisson(model.expected_points, size)
+        assert np.count_nonzero(counts == 0) > size // 2
 
 
 @pytest.mark.parametrize("mark", [ExponentialMark(1.0), UniformMark(2.0), CenteredGaussianMark(1.0)])
@@ -298,7 +343,7 @@ def test_interference_sampler_campbell():
 
 def test_interference_tail_eps_consistency():
     # different truncation radii must give the same distribution up to the
-    # (tiny) truncated variance; means agree to MC accuracy
+    # far field's certified normal approximation; means agree to MC accuracy
     a = InterferenceModel(50.0, 1.0, 4.0, tail_eps=50.0)
     b = InterferenceModel(50.0, 1.0, 4.0, tail_eps=0.5)
     xa = np.concatenate([a.sample(np.random.default_rng([5, i]), 1) for i in range(2000)])
@@ -498,7 +543,7 @@ def test_verify_draws_main_pass_streams(verify, monkeypatch):
     # each), so 30 replications take three chunks
     monkeypatch.setattr(simulate, "_CHUNK_POINTS", 400)
     if verify == "gauss-interference":
-        model = InterferenceModel(1.0, 1.0, 4.0, tail_eps=0.25)
+        model = InterferenceModel(1.0, 1.0, 4.0, tail_eps=0.075)
         report = verify_gaussian_bound(model, 30, seed=17, workers=2)
     else:
         model = ClusterModel(2.0, 10.0, PoissonMean(0.5))
@@ -572,9 +617,9 @@ def test_chunk_sizes(monkeypatch):
     # carries its point count to the chunk rule
     assert ClusterModel(1e300, 1e8, PoissonMean(0.5)).expected_points == math.inf
     assert chunk_of(NormalScenario(expected_points=math.inf)) == 1
-    # lam pi rho^2 = 50 pi (5 pi) = 2467 expected points
+    # lam pi rho^2 = 50 pi 1.819^2 = 519.8 expected points
     model = InterferenceModel(50.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
-    assert model.expected_points == pytest.approx(250.0 * math.pi ** 2) and chunk_of(model) == 13
+    assert model.expected_points == pytest.approx(519.8, abs=0.01) and chunk_of(model) == 63
 
 
 def test_worker_pool_is_bounded(monkeypatch):
