@@ -569,17 +569,17 @@ def _write(args, path: str, text: str) -> None:
         args.leaf_parser.error(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _samples_csv(report) -> str:
-    from .simulate import samples_csv_text  # only verify reports carry samples
-
-    return samples_csv_text(report.samples)
+def samples_csv_text(samples) -> str:
+    """Render a verify report's draws as seed_index,value rows, full repr
+    precision."""
+    return "seed_index,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(samples.tolist()))
 
 
 def _emit(args, report) -> int:
     """Print the report (under --format csv, its samples), copy it to
     --output and the samples to --dump-samples; return the exit code."""
     if getattr(args, "format", None) == "csv":
-        text = _samples_csv(report)
+        text = samples_csv_text(report.samples)
     else:
         payload = report if isinstance(report, dict) else report.to_dict()
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -587,7 +587,7 @@ def _emit(args, report) -> int:
     if args.output:
         _write(args, args.output, text)
     if getattr(args, "dump_samples", None):
-        _write(args, args.dump_samples, _samples_csv(report))
+        _write(args, args.dump_samples, samples_csv_text(report.samples))
     return 0 if getattr(report, "passed", True) else 3
 
 

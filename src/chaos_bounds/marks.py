@@ -27,11 +27,16 @@ class ConstantMark:
     """Degenerate mark M = value.
 
     A zero value is accepted so that trivially-null models can be simulated;
-    operations that divide by E M^2 reject it at the call site.
+    operations that divide by E M^2 reject it at the call site.  An infinite
+    value is rejected, since every moment of it is infinite.
     """
 
     value: float
     gamma = 0.0
+
+    def __post_init__(self):
+        if math.isinf(self.value):
+            raise DomainError("constant mark value must be finite")
 
     def abs_moment(self, m: int) -> float:
         check_integer("moment order", m, 1)

@@ -35,6 +35,7 @@ from .errors import (
     NoConvergence,
     SupercriticalError,
     check_integer,
+    check_positive,
 )
 
 if TYPE_CHECKING:
@@ -123,11 +124,16 @@ class Binomial:
 
     def factorial_moments(self, n: int) -> list[float]:
         """[E(P)_1, ..., E(P)_n], E(P)_i = (h)_i p^i with the falling
-        factorial (h)_i = 0 once i > h."""
-        out, falling = [], 1.0
+        factorial (h)_i = 0 once i > h.  Once p^i falls below the normal floats
+        (before (h)_i can overflow, since h p < 1), that product would lose
+        its digits or read inf * 0, so the terms are multiplied with p folded
+        in, prod_j (h - j + 1) p <= (h p)^i < 1."""
+        out, falling, folded = [], 1.0, 1.0
         for i in range(1, n + 1):
             falling *= max(self.h - i + 1, 0)
-            out.append(falling * self.p ** i)
+            folded *= max(self.h - i + 1, 0) * self.p
+            p_i = self.p ** i
+            out.append(falling * p_i if p_i >= sys.float_info.min else folded)
         return out
 
     def next_generation(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -304,8 +310,7 @@ def progeny_moment_series(law: OffspringLaw, m: int, rel_tol: float) -> float:
     last allowed term can never be certified, and fails before any term.
     """
     check_integer("m", m, 0)
-    if not rel_tol > 0:
-        raise DomainError("rel_tol must be > 0")
+    check_positive("rel_tol", rel_tol)
     q, c = law.pmf_ratio_bound
     if m == 0:
         return 1.0
@@ -356,8 +361,7 @@ def abel_plana_bound(nu: float, m: int) -> CertifiedSum:
     The sum equals nu^{-m} (m-1)! up to a remainder of absolute size at most
     1/(pi (m-1)) + 2 (m-1)! / pi^m.
     """
-    if not nu > 0:
-        raise DomainError("nu must be > 0")
+    check_positive("nu", nu)
     check_integer("m", m, 2)
     center = nu ** (-m) * math.factorial(m - 1)
     radius = 1.0 / (math.pi * (m - 1)) + 2.0 * math.factorial(m - 1) / math.pi ** m

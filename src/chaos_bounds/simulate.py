@@ -13,7 +13,9 @@ exact mean and variance, so the total's mean and variance are both exact;
 rho is chosen so that the first-chaos bound certifies that normal's W1 error
 within the sd of the field beyond the radius where its mean is ``tail_eps``
 (``InterferenceModel``).  Every sampler raises ``CapExceeded`` once one
-total's population, expected or drawn, passes ``POPULATION_CAP``.
+total's population, expected or drawn, passes ``POPULATION_CAP``; windows
+and cascades count each generation, and hold the cap, in one step
+(``_count``).
 
 Each verify command simulates one pass through one driver, ``_replicate``,
 which calls a ``sample(rng, size)`` of the same shape for windows, fields
@@ -113,32 +115,22 @@ class ClusterModel:
         ``mark.total``.
 
         ``POPULATION_CAP`` bounds each window's population, not the chunk's:
-        lam T before any draw, then the immigrant counts; each generation's
-        labels are counted per window as soon as the chunk's total passes the
-        cap, and otherwise all at once after the last generation.
+        lam T before any draw, then the immigrant counts, then each generation
+        as ``_count`` adds it to the windows' point counts.
         """
-        T, cap = self.horizon, POPULATION_CAP
+        T = self.horizon
         _check_cap(self.lam * T, "a window's expected immigrant count")
-        n0 = rng.poisson(self.lam * T, size)
-        _check_cap(int(n0.max()), "a window's population")
-        labels = np.repeat(np.arange(size), n0)
+        counts = rng.poisson(self.lam * T, size)
+        _check_cap(int(counts.max()), "a window's population")
+        labels = np.repeat(np.arange(size), counts)
         times = rng.uniform(0.0, T, labels.size)
-        # counts holds the immigrants and every generation counted so far;
-        # kept, the labels of the generations not yet counted
-        counts, kept, total = n0.astype(np.int64), [], labels.size
+        points = labels.size
         while times.size:
             parent = self.offspring.next_generation(rng, times.size)
             times = times[parent] + rng.exponential(1.0 / self.delay_rate, parent.size)
             inside = times <= T
             times, labels = times[inside], labels[parent[inside]]
-            kept.append(labels)
-            total += labels.size
-            if total > cap:
-                counts += np.bincount(np.concatenate(kept), minlength=size)
-                kept = []
-                _check_cap(int(counts.max()), "a window's population")
-        if kept:
-            counts += np.bincount(np.concatenate(kept), minlength=size)
+            points = _count(counts, labels, points, "a window's population")
         return self.mark.total(rng, counts)
 
     def mean_var(self) -> tuple[float, float]:
@@ -298,16 +290,28 @@ def _check_cap(population: float, what: str) -> None:
         raise CapExceeded(f"{what} {population} is above the population cap {POPULATION_CAP}")
 
 
+def _count(counts: np.ndarray, labels: np.ndarray, points: int, what: str) -> int:
+    """Add one generation, whose points carry their totals' labels, to the
+    per-total ``counts``, and return the chunk's points so far.  No total can
+    pass ``POPULATION_CAP`` before the chunk does, so every total is checked
+    against it only once the chunk's points have passed it."""
+    counts += np.bincount(labels, minlength=counts.size)
+    points += labels.size
+    if points > POPULATION_CAP:
+        _check_cap(int(counts.max()), what)
+    return points
+
+
 def sample_progeny(law: OffspringLaw, rng, size: int) -> np.ndarray:
     """Total-progeny counts (the root included) of ``size`` independent
-    cascades.  Every individual carries its cascade's label, so each
-    generation adds its label counts."""
+    cascades.  Every individual carries its cascade's label, and ``_count``
+    adds each generation to the cascades' totals and holds the cap."""
     total = np.ones(size, dtype=np.int64)
     labels = np.arange(size)
+    points = size
     while labels.size:
         labels = labels[law.next_generation(rng, labels.size)]
-        total += np.bincount(labels, minlength=size)
-        _check_cap(int(total.max()), "a cascade's total progeny")
+        points = _count(total, labels, points, "a cascade's total progeny")
     return total
 
 
@@ -574,13 +578,3 @@ def verify_moments(
         "per_moment": checks,
     }
     return VerificationReport("gw-moments", passed, details, samples=draws)
-
-
-def samples_csv_text(samples) -> str:
-    """Render draws as a two-column CSV string, full repr precision."""
-    lines = ["seed_index,value"]
-    lines.extend(
-        f"{i},{float(v)!r}" for i, v in enumerate(np.asarray(samples).tolist())
-    )
-    return "\n".join(lines) + "\n"
-

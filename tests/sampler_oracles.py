@@ -1,5 +1,13 @@
 """Independent kernels kept as oracles for the samplers and distances.
 
+``windows_by_kept_labels`` and ``progeny_by_kept_labels`` are the
+kept-labels counting kernels, kept for ``ClusterModel.sample`` and
+``sample_progeny``, which count each generation as it is drawn: these store
+every generation's labels and count them with one ``np.bincount`` after the
+last.  They draw the models' own draws in their order (immigrant counts,
+immigrant times, then per generation parents and delays), so the counts
+must agree bit for bit on one stream.
+
 ``interference_by_labels`` is a label-and-bincount interference kernel, kept
 for ``InterferenceModel.sample``, which sums each field's points by segment.
 Every point carries its field's label and one weighted ``np.bincount`` gives
@@ -27,6 +35,33 @@ def interference_by_labels(model, rng, size: int) -> np.ndarray:
     far_mean, far_var = model.far_field
     far = rng.normal(far_mean, math.sqrt(far_var), size)
     return np.bincount(labels, weights=signal, minlength=size) + far
+
+
+def windows_by_kept_labels(model, rng, size: int) -> np.ndarray:
+    """Point counts of ``size`` windows, which are their totals under unit
+    marks (whose totals draw nothing)."""
+    T = model.horizon
+    labels = np.repeat(np.arange(size), rng.poisson(model.lam * T, size))
+    times = rng.uniform(0.0, T, labels.size)
+    kept = [labels]
+    while times.size:
+        parent = model.offspring.next_generation(rng, times.size)
+        times = times[parent] + rng.exponential(1.0 / model.delay_rate, parent.size)
+        inside = times <= T
+        times, labels = times[inside], labels[parent[inside]]
+        kept.append(labels)
+    return np.bincount(np.concatenate(kept), minlength=size)
+
+
+def progeny_by_kept_labels(law, rng, size: int) -> np.ndarray:
+    """Total progeny of ``size`` cascades: every descendant's label, counted
+    once at the end, plus the root."""
+    labels = np.arange(size)
+    kept = []
+    while labels.size:
+        labels = labels[law.next_generation(rng, labels.size)]
+        kept.append(labels)
+    return np.bincount(np.concatenate(kept), minlength=size) + 1
 
 
 def kolmogorov_by_scipy(samples) -> float:

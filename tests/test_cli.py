@@ -198,6 +198,8 @@ def test_custom_mark_needs_an_explicit_gamma():
     "bounds interference --lambda 1 --R 1 --alpha 4 --power const:1e-160",
     # lam * leb overflows, which used to print a bound of 0
     "bounds hawkes-poisson --lambda 1e200 --leb 1e200 --h 0.5",
+    # i2^(3/2) overflows as a Python float
+    "bounds shot-noise --i2 1e300 --i3 1 --i4 1",
 ])
 def test_normalizer_out_of_float_range_exit_2(argv):
     code, out, err = run_main(*argv.split())
@@ -227,6 +229,10 @@ def test_normalizer_out_of_float_range_exit_2(argv):
     "tail insurance --lambda 1e300 --T 1e300 --h 0.5 --mu 1 --k 2",
     # a finite edge whose rate edge^2 / 2 overflows; the infinite endpoint is allowed
     "tail mdp --lower=1e200 --upper=inf",
+    # an infinite tolerance, nu or constant mark value
+    "moments series --offspring poisson:0.5 --m 3 --rel-tol inf",
+    "moments abel --nu inf --m 3",
+    "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --mark const:inf",
 ])
 def test_bound_or_interval_past_float_range_exit_2(argv):
     # each of these used to print JSON's non-standard Infinity with exit 0
@@ -271,6 +277,17 @@ def test_nan_input_exit_2(argv):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ") and err.endswith("must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds compound-cluster --lambda 1 --leb 1e4 --ez3 -1 --ez4 832",
+    "bounds shot-noise --i2 1 --i3 -1 --i4 1",
+])
+def test_negative_moment_exit_2(argv):
+    code, out, err = run_main(*argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("moments must be >= 0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,6 +346,27 @@ def test_verify_bci_rejects_grid_before_simulating(grid, monkeypatch):
     code, out, err = run_main("verify", "bci", "--h", "0.5", "--T", "10", "--reps", "10", *grid)
     assert code == 2, err
     assert out == "" and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify gauss --scenario hawkes-poisson --h 0.5 --T 10",
+    "verify bci --h 0.5 --T 10",
+])
+def test_reps_below_two_exit_2(argv):
+    code, out, err = run_main(*argv.split(), "--reps", "1")
+    assert code == 2
+    assert out == "" and err == "error: n_reps must be >= 2\n"
+
+
+def test_binomial_moments_past_float_range_of_p_powers():
+    # p^i is subnormal from i = 77 on and (h)_i overflows from i = 104 on,
+    # where (h)_i p^i read NaN and made E Z^104 look out of float range
+    code, out, err = run_main("moments", "factorial", "--offspring", "binomial:1000,1e-4", "--n", "200")
+    assert code == 0, err
+    assert "NaN" not in out and "Infinity" not in out
+    code, out, err = run_main("moments", "gw", "--offspring", "binomial:1000,1e-4", "--n", "104")
+    assert code == 0, err
+    assert json.loads(out)["moments"][-1] == pytest.approx(2.342486513403942e148, rel=1e-9)
 
 
 def test_verify_moments_rejects_law_before_simulating(monkeypatch):

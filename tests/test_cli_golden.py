@@ -13,7 +13,11 @@ Argv placeholders: ``{config}`` is a file holding the case's JSON config,
 
 Re-freeze (only when an output is meant to change) with
 
-    PYTHONPATH=src python3 tests/test_cli_golden.py
+    PYTHONPATH=src python3 tests/test_cli_golden.py [CASE_ID ...]
+
+which re-runs only the named cases (their pytest ids, the argv with the
+config appended) and leaves every other case's bytes as they are; with no
+case id it re-freezes every case.
 """
 import contextlib
 import io
@@ -229,19 +233,24 @@ def test_cached_parser_keeps_no_state(golden, tmp_path, monkeypatch):
             check_case(argv, config, golden, tmp_path)
 
 
-def freeze() -> None:
+def freeze(ids: list[str]) -> None:
     import os
     import tempfile
 
     os.environ.pop(cli.SEED_ENV_VAR, None)
-    golden = {}
-    for argv, config in CASES:
+    cases = {case_id(argv, config): (argv, config) for argv, config in CASES}
+    unknown = sorted(set(ids) - set(cases))
+    if unknown:
+        raise SystemExit(f"no golden case with id {', '.join(map(repr, unknown))}")
+    golden = json.loads(GOLDEN.read_text()) if ids else {}
+    for cid in ids or cases:
+        argv, config = cases[cid]
         with tempfile.TemporaryDirectory() as tmp:
             code, out = run(argv, config, Path(tmp))
-        golden[case_id(argv, config)] = {"code": code, "stdout": out}
+        golden[cid] = {"code": code, "stdout": out}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"froze {len(golden)} cases into {GOLDEN}", file=sys.stderr)
+    print(f"froze {len(ids or cases)} of {len(golden)} cases into {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    freeze()
+    freeze(sys.argv[1:])

@@ -209,6 +209,9 @@ def test_cumulant_condition_trivial_passes():
     assert report.all_pass and report.first_fail is None
     assert report.m_checked == (3, 12)
     assert [row["m"] for row in report.per_m] == list(range(3, 13))
+    # a zero moment makes its order's lhs 0, which passes
+    report = check_cumulant_condition([1.0, 1.0, 0.0], [1.0] * 3, 1e4, 0.0, 1.0, 3)
+    assert report.all_pass and report.per_m[0]["pass"] and report.per_m[0]["lhs"] == 0.0
 
 
 def test_cumulant_condition_hawkes_golden():

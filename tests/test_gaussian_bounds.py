@@ -200,6 +200,8 @@ def test_hertzian_integral_divergence():
         hertzian_integral(1.0, 4.0, 0)
     with pytest.raises(DomainError):
         hertzian_integral(1.0, 4.0, 2.0)
+    with pytest.raises(DomainError, match="alpha must be > 1"):
+        hertzian_integral(1.0, 1.0, 1)
 
 
 def test_interference_golden():
@@ -250,6 +252,8 @@ def test_validation():
         compound_cluster_bounds(Region(1.0, 1.0), ConstantMark(0.0), 1.0, 1.0)
     with pytest.raises(DomainError):
         interference_bounds(50.0, 0.0, 6.0, 24.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match=">= 0"):
+        interference_bounds(50.0, 2.0, -6.0, 24.0, 1.0, 1.0, 1.0)
 
 
 def test_report_serialization():

@@ -9,6 +9,7 @@ recursion is kept here as a third, independent moment oracle.
 import math
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,22 @@ def test_factorial_moments_binomial():
     # E(P)_i = (h)_i p^i, zero past i = h
     assert factorial_moments(Binomial(2, 0.25), 3) == [0.5, 0.125, 0.0]
     assert factorial_moments(Binomial(1, 0.5), 2) == [0.5, 0.0]
+
+
+@pytest.mark.parametrize("h, p", [(1000, 1e-4), (3, 0.2), (400, 2e-3)])
+def test_binomial_factorial_moments_match_exact_products(h, p):
+    # (h)_i p^i in exact rationals; p^i leaves the normal floats from i = 77
+    # and (h)_i overflows from i = 104 at h = 1000, p = 1e-4
+    got = factorial_moments(Binomial(h, p), 200)
+    falling, plain = 1, 1.0
+    for i, g in enumerate(got, start=1):
+        falling *= max(h - i + 1, 0)
+        plain *= max(h - i + 1, 0)
+        exact = float(falling * Fraction(p) ** i)
+        assert abs(g - exact) <= 1e-12 * exact, i
+        # the plain float product, bit for bit, wherever p^i is a normal float
+        if p ** i >= sys.float_info.min:
+            assert g == plain * p ** i, i
 
 
 def test_factorial_moments_stored_list():

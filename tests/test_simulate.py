@@ -39,8 +39,14 @@ from chaos_bounds import (
 from chaos_bounds import simulate
 from chaos_bounds.gaussian_bounds import GaussianBoundReport
 from chaos_bounds.progeny import factorial_moments
-from chaos_bounds.simulate import samples_csv_text
-from sampler_oracles import interference_by_labels, kolmogorov_by_scipy, wasserstein_by_scipy
+from chaos_bounds.cli import samples_csv_text
+from sampler_oracles import (
+    interference_by_labels,
+    kolmogorov_by_scipy,
+    progeny_by_kept_labels,
+    wasserstein_by_scipy,
+    windows_by_kept_labels,
+)
 
 ZERO_OFFSPRING = FactorialMoments((0.0, 0.0, 0.0, 0.0))
 
@@ -272,6 +278,29 @@ def test_population_cap_is_per_total_within_a_chunk(monkeypatch, sample, populat
     monkeypatch.setattr(simulate, "POPULATION_CAP", largest - 1)
     with pytest.raises(CapExceeded):
         sample(np.random.default_rng(5), 300)
+
+
+_LAWS = [PoissonMean(0.5), Binomial(3, 0.2), ZERO_OFFSPRING]
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=["poisson", "binomial", "zero"])
+@pytest.mark.parametrize("horizon, size", [(1e4, 1), (10.0, 500)], ids=["one-long", "many-short"])
+def test_window_counts_match_the_kept_labels_kernel(law, horizon, size):
+    # unit marks make a window's total its point count, drawn on the
+    # model's own stream
+    model = ClusterModel(1.0, horizon, law)
+    got = model.sample(np.random.default_rng(31), size)
+    want = windows_by_kept_labels(model, np.random.default_rng(31), size)
+    np.testing.assert_array_equal(got, want)
+    assert want.sum() > size * horizon / 2
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=["poisson", "binomial", "zero"])
+def test_progeny_matches_the_kept_labels_kernel(law):
+    got = sample_progeny(law, np.random.default_rng(32), 5000)
+    want = progeny_by_kept_labels(law, np.random.default_rng(32), 5000)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.int64
 
 
 def test_chunked_fields_match_campbell():
