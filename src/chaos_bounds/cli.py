@@ -46,7 +46,7 @@ from .gaussian_bounds import (
     cluster_bounds_for_law,
     compound_cluster_bounds,
     first_chaos_bounds,
-    interference_bounds_for_power,
+    interference_bounds,
     shotnoise_bounds,
 )
 from .marks import (
@@ -199,7 +199,7 @@ def _cmd_bounds_hawkes(args):
 
 
 def _cmd_bounds_interference(args):
-    return interference_bounds_for_power(args.lam, args.R, args.alpha, parse_mark(args.power))
+    return interference_bounds(args.lam, args.R, args.alpha, parse_mark(args.power))
 
 
 def _cmd_delta_poisson(args):

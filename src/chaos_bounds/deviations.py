@@ -27,6 +27,7 @@ from .errors import (
     InsufficientMoments,
     RegimeError,
     check_integer,
+    check_nonnegative,
     check_positive,
 )
 from .marks import MarkLaw, mark_abs_moments
@@ -56,7 +57,7 @@ def verify_mark_gamma(
     pass.  Comparisons run in log space with a 1e-12 slack so exact-equality
     families (constant marks) are not tripped by rounding.
     """
-    _check_nonnegative("gamma", gamma)
+    check_nonnegative("gamma", gamma)
     check_integer("m_max", m_max, 3)
     if len(abs_moments) < m_max:
         raise InsufficientMoments(
@@ -67,7 +68,7 @@ def verify_mark_gamma(
     m2 = abs_moments[1]
     for m in range(3, m_max + 1):
         em = abs_moments[m - 1]
-        _check_nonnegative(f"absolute moment of order {m}", em)
+        check_nonnegative(f"absolute moment of order {m}", em)
         if em == 0.0:
             continue
         log_lhs = math.log(em)
@@ -75,14 +76,6 @@ def verify_mark_gamma(
         if log_lhs > log_rhs + 1e-12:
             return False, m
     return True, None
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    """Raise unless value is finite and >= 0."""
-    if not (value >= 0):  # NaN fails too
-        raise DomainError(f"{name} must be >= 0")
-    if value == math.inf:
-        raise DomainError(f"{name} must be finite")
 
 
 def delta_poisson(h: float, lambda_leb: float, gamma: float = 0.0) -> DeviationParams:
@@ -93,7 +86,7 @@ def delta_poisson(h: float, lambda_leb: float, gamma: float = 0.0) -> DeviationP
     (case "(i)"), else delta = h nu^3 sqrt(lambda_leb) (case "(ii)").
     """
     PoissonMean(h)  # domain + subcriticality checks
-    _check_nonnegative("gamma", gamma)
+    check_nonnegative("gamma", gamma)
     root = math.sqrt(check_positive("lambda_leb", lambda_leb))
     nu = h - 1.0 - math.log(h)
     if nu >= 1.0:
@@ -112,7 +105,7 @@ def delta_binomial(
     "(ii)1" / "(ii)2").  Boundary values take the first branch.
     """
     Binomial(h, p)  # domain + subcriticality checks
-    _check_nonnegative("gamma", gamma)
+    check_nonnegative("gamma", gamma)
     root = math.sqrt(check_positive("lambda_leb", lambda_leb))
     if h == 1:
         scale = p / (1.05 * (1.0 - p))
@@ -135,9 +128,9 @@ def bci_bound(gamma: float, delta: float, x: float) -> float:
     Valid for any standardized functional whose cumulants satisfy the
     (gamma, delta) growth condition; values above 1 are reported as-is.
     """
-    _check_nonnegative("gamma", gamma)
+    check_nonnegative("gamma", gamma)
     check_positive("delta", delta)
-    _check_nonnegative("x", x)
+    check_nonnegative("x", x)
     quad = x * x / 2.0 ** (1.0 + gamma)
     frac = (x * delta) ** (1.0 / (1.0 + gamma))
     return 2.0 * math.exp(-0.25 * min(quad, frac))
@@ -187,7 +180,7 @@ def check_cumulant_condition(
     if not marks[1] > 0:
         raise DomainError("E M^2 must be present and > 0")
     check_positive("lambda_leb", lambda_leb)
-    _check_nonnegative("gamma", gamma)
+    check_nonnegative("gamma", gamma)
     check_positive("delta", delta)
 
     log_m2 = math.log(marks[1])
@@ -242,7 +235,7 @@ def cumulant_condition_for_law(
 def nacc_window(gamma: float, delta: float, c0: float) -> tuple[float, float]:
     """Interval [0, c0 delta^(1/(1+2 gamma))] on which the normal approximation
     of the tail is accurate to a constant factor."""
-    _check_nonnegative("gamma", gamma)
+    check_nonnegative("gamma", gamma)
     check_positive("delta", delta)
     check_positive("c0", c0)
     return 0.0, check_positive("the window end", c0 * delta ** (1.0 / (1.0 + 2.0 * gamma)))

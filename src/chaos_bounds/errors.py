@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from ChaosBoundsError so callers (and the
-CLI) can map domain problems to a single exit path.  ``check_positive`` and
-``check_integer`` state the two parameter rules every module shares.
+CLI) can map domain problems to a single exit path.  ``check_positive``,
+``check_nonnegative`` and ``check_integer`` state the parameter rules every
+module shares.
 """
 import math
 import numbers
@@ -52,6 +53,15 @@ def check_positive(name: str, value: float) -> float:
     """value, if it is positive and finite (NaN is not); else a DomainError."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite")
+    return value
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """value, if it is finite and >= 0 (NaN is not); else a DomainError."""
+    if not value >= 0:
+        raise DomainError(f"{name} must be >= 0")
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite")
     return value
 
 

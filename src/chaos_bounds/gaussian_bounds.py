@@ -1,16 +1,17 @@
 """Explicit Wasserstein / Kolmogorov distance bounds to the standard normal.
 
-All bounds here share one shape: with m3 the third absolute moment and m4 the
-fourth moment of the standardized kernel,
+Every model here is a first chaos, and every bound is the one first-chaos
+bound: with m3 the third absolute moment and m4 the fourth moment of the
+standardized kernel,
 
     dw = m3,
     dk = (1 + max{4, (4 m4 + 2)^{1/4}} / 2) * m3 + sqrt(m4).
 
-The concrete calculators only differ in how (m3, m4) are assembled from model
-ingredients: kernel integrals for shot noise, progeny and mark moments over a
-window for cluster / Hawkes processes, power moments and attenuation integrals
-for planar interference.  Each then hands them to ``_report``, the one place
-the formula, its sign rule and its float-range check live.
+The calculators only differ in the kernel integrals they form: given ones for
+shot noise, mark moments times cascade moments over a window for cluster /
+Hawkes processes, power moments times attenuation integrals for planar
+interference.  Each hands them to ``_report``, the one place the
+normalization, the formula, its sign rules and its float-range check live.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ class GaussianBoundReport:
         return dict(asdict(self), vacuous=self.vacuous)
 
 
-def _divisor(base: float, exponent: float, factor: float = 1.0) -> float:
+def _divisor(base: float, exponent: float, factor: float) -> float:
     """base ** exponent * factor, which a bound divides by: a DomainError when
     it leaves float range (a 0 crashes the division, an inf fakes a 0 bound)."""
     try:
@@ -83,13 +84,19 @@ def _divisor(base: float, exponent: float, factor: float = 1.0) -> float:
     return value
 
 
-def _report(m3: float, m4: float, inputs: dict) -> GaussianBoundReport:
-    """The bound pair of a first chaos whose normalized kernel has m3 =
-    int |f|^3 and m4 = int f^4; ``inputs`` is the caller's echo.  A bound
-    that leaves float range, through an infinite input or an overflowing
-    quotient, is a DomainError."""
-    if not (m3 >= 0 and m4 >= 0):
+def _report(scale: float, i2: float, i3: float, i4: float, inputs: dict) -> GaussianBoundReport:
+    """The bound pair of a first chaos with kernel f, int f^2 = scale * i2,
+    int |f|^3 = scale * i3 and int f^4 = scale * i4; ``inputs`` is the
+    caller's echo.  It normalizes m3 = i3 / (i2^{3/2} sqrt(scale)) and m4 =
+    i4 / (i2^2 scale), never forming scale * i_m.  i2 must be positive and
+    i3, i4 >= 0 (NaN is neither); a normalizer or a bound that leaves float
+    range, through an infinite input or an overflowing quotient, is a
+    DomainError."""
+    check_positive("i2", i2)
+    if not (i3 >= 0 and i4 >= 0):
         raise DomainError("kernel moments must be >= 0")
+    m3 = i3 / _divisor(i2, 1.5, math.sqrt(scale))
+    m4 = i4 / _divisor(i2, 2, scale)
     dk = (1.0 + 0.5 * max(4.0, (4.0 * m4 + 2.0) ** 0.25)) * m3 + math.sqrt(m4)
     # an infinite m3 or m4 makes dk infinite or NaN, so this check covers them
     if not dk < math.inf:
@@ -100,40 +107,30 @@ def _report(m3: float, m4: float, inputs: dict) -> GaussianBoundReport:
 def first_chaos_bounds(m3: float, m4: float) -> GaussianBoundReport:
     """Bounds for a normalized first chaos with kernel moments m3 = int |f|^3,
     m4 = int f^4 (and int f^2 = 1)."""
-    return _report(m3, m4, {"kind": "first-chaos", "m3": m3, "m4": m4})
+    return _report(1, 1, m3, m4, {"kind": "first-chaos", "m3": m3, "m4": m4})
 
 
 def shotnoise_bounds(km: KernelMoments) -> GaussianBoundReport:
     """Bounds for a standardized shot-noise functional from its raw kernel
     integrals; invariant under kernel rescaling (i2,i3,i4) -> (c^2 i2, c^3 i3,
     c^4 i4)."""
-    return _report(
-        km.i3_abs / _divisor(km.i2, 1.5),
-        km.i4 / _divisor(km.i2, 2),
-        {"kind": "shot-noise", "i2": km.i2, "i3_abs": km.i3_abs, "i4": km.i4},
-    )
+    echo = {"kind": "shot-noise", "i2": km.i2, "i3_abs": km.i3_abs, "i4": km.i4}
+    return _report(1, km.i2, km.i3_abs, km.i4, echo)
 
 
 def compound_cluster_bounds(
     region: Region, mark: MarkLaw, ez3: float, ez4: float
 ) -> GaussianBoundReport:
-    """Bounds for a standardized compound cluster sum over a window.
-
-    dw = E|M|^3 E Z^3 / ((E M^2)^{3/2} sqrt(lam * leb)); dk uses
-    m4 = E M^4 E Z^4 / (lam * leb * (E M^2)^2).  Both are invariant under mark
-    scaling M -> cM.
+    """Bounds for a standardized compound cluster sum over a window: a first
+    chaos of scale lam * leb whose kernel integrals are E M^2, E|M|^3 E Z^3
+    and E M^4 E Z^4, so dw = E|M|^3 E Z^3 / ((E M^2)^{3/2} sqrt(lam * leb)).
+    Both bounds are invariant under mark scaling M -> cM.
     """
-    m2 = mark.abs_moment(2)
-    m3 = mark.abs_moment(3)
-    m4 = mark.abs_moment(4)
-    if not m2 > 0:
-        raise DomainError("E M^2 must be > 0")
-    if ez3 < 0 or ez4 < 0:
-        raise DomainError("progeny moments must be >= 0")
-    ll = region.lam * region.leb
     return _report(
-        m3 * ez3 / _divisor(m2, 1.5, math.sqrt(ll)),
-        m4 * ez4 / _divisor(m2, 2, ll),
+        region.lam * region.leb,
+        mark.abs_moment(2),
+        mark.abs_moment(3) * ez3,
+        mark.abs_moment(4) * ez4,
         {
             "kind": "compound-cluster",
             "lam": region.lam,
@@ -170,47 +167,18 @@ def hertzian_integral(R: float, alpha: float, m: int) -> float:
     return math.pi * am / (am - 2.0) * R ** (2.0 - am)
 
 
-def interference_bounds(
-    lam: float,
-    power2: float,
-    power3: float,
-    power4: float,
-    i2: float,
-    i3: float,
-    i4: float,
-) -> GaussianBoundReport:
-    """Bounds for standardized planar interference at the origin.
-
-    dw = lam^{-1/2} (E P^3 / (E P^2)^{3/2}) (i3 / i2^{3/2}), with i_m the m-th
-    attenuation integral; dk uses m4 = lam^{-1} (E P^4 / (E P^2)^2) (i4 / i2^2).
-    """
-    # an infinite lam would give a finite, wrong bound of 0
+def interference_bounds(lam: float, R: float, alpha: float, power: MarkLaw) -> GaussianBoundReport:
+    """Bounds for standardized planar interference at the origin: a first
+    chaos of scale lam with kernel P max{R, |x|}^{-alpha}.  The bound does
+    not change under P -> cP, so the powers are standardized to E P^2 = 1:
+    the kernel integrals are lam times (E P^m / (E P^2)^{m/2}) i_m, with i_m
+    = hertzian_integral(R, alpha, m) and a ratio of 1 at m = 2.  These stay
+    in float range where lam E P^m i_m would not; a normalizer (E P^2)^{m/2}
+    that leaves it is a DomainError."""
     check_positive("lam", lam)
-    if not (power2 > 0 and i2 > 0):
-        raise DomainError("power2 and i2 must be > 0")
-    if power3 < 0 or power4 < 0 or i3 < 0 or i4 < 0:
-        raise DomainError("power moments and attenuation integrals must be >= 0")
-    return _report(
-        (power3 / _divisor(power2, 1.5)) * (i3 / _divisor(i2, 1.5)) / math.sqrt(lam),
-        (power4 / _divisor(power2, 2)) * (i4 / _divisor(i2, 2)) / lam,
-        {
-            "kind": "interference",
-            "lam": lam,
-            "power2": power2,
-            "power3": power3,
-            "power4": power4,
-            "i2": i2,
-            "i3": i3,
-            "i4": i4,
-        },
-    )
-
-
-def interference_bounds_for_power(
-    lam: float, R: float, alpha: float, power: MarkLaw
-) -> GaussianBoundReport:
-    """Interference bounds for a power law: its moments E P^2..E P^4 and the
-    matching ``hertzian_integral``s fed to ``interference_bounds``."""
-    moments = [power.abs_moment(k) for k in (2, 3, 4)]
-    integrals = [hertzian_integral(R, alpha, k) for k in (2, 3, 4)]
-    return interference_bounds(lam, *moments, *integrals)
+    p2, p3, p4 = (power.abs_moment(m) for m in (2, 3, 4))
+    i2, i3, i4 = (hertzian_integral(R, alpha, m) for m in (2, 3, 4))
+    echo = dict(kind="interference", lam=lam, power2=p2, power3=p3, power4=p4, i2=i2, i3=i3, i4=i4)
+    j3 = p3 / _divisor(p2, 1.5, 1.0) * i3
+    j4 = p4 / _divisor(p2, 2, 1.0) * i4
+    return _report(lam, i2, j3, j4, echo)

@@ -27,15 +27,15 @@ class ConstantMark:
     """Degenerate mark M = value.
 
     A zero value is accepted so that trivially-null models can be simulated;
-    operations that divide by E M^2 reject it at the call site.  An infinite
-    value is rejected, since every moment of it is infinite.
+    operations that divide by E M^2 reject it.  An infinite or NaN value is
+    rejected, since every moment of it is infinite or NaN too.
     """
 
     value: float
     gamma = 0.0
 
     def __post_init__(self):
-        if math.isinf(self.value):
+        if not math.isfinite(self.value):
             raise DomainError("constant mark value must be finite")
 
     def abs_moment(self, m: int) -> float:

@@ -35,6 +35,7 @@ from .errors import (
     NoConvergence,
     SupercriticalError,
     check_integer,
+    check_nonnegative,
     check_positive,
 )
 
@@ -340,8 +341,7 @@ class CertifiedSum:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise DomainError("radius must be >= 0")
+        check_nonnegative("radius", self.radius)
 
     @property
     def lower(self) -> float:

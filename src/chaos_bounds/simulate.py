@@ -52,7 +52,7 @@ from .gaussian_bounds import (
     Region,
     cluster_bounds_for_law,
     hertzian_integral,
-    interference_bounds_for_power,
+    interference_bounds,
 )
 from .marks import ConstantMark, CustomAbsMoments, MarkLaw, segment_sums
 from .progeny import (
@@ -277,7 +277,7 @@ class InterferenceModel:
 
     def bounds(self) -> GaussianBoundReport:
         """The paper's (dW, dK) bounds for the untruncated total."""
-        return interference_bounds_for_power(self.lam, self.radius, self.alpha, self.power)
+        return interference_bounds(self.lam, self.radius, self.alpha, self.power)
 
 
 # ---------------------------------------------------------------------------

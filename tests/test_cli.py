@@ -3,6 +3,7 @@ config files, seeding, and output determinism."""
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,33 @@ def test_bound_or_interval_past_float_range_exit_2(argv):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds hawkes-poisson --lambda 1 --leb 1e4 --h 0.5 --mark const:nan",
+    "verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1 --mark const:nan",
+    "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --mark const:nan",
+])
+def test_nan_constant_mark_exit_2(argv):
+    # rejected by the mark itself, not later as a missing E M^2
+    code, out, err = run_main(*argv.split())
+    assert code == 2 and out == ""
+    assert "constant mark value must be finite" in err
+
+
+@pytest.mark.parametrize("argv, dw, dk", [
+    # lam |W| = 1e300: (lam |W| E M^2)^(3/2) would overflow
+    ("bounds hawkes-poisson --lambda 1 --leb 1e300 --h 0.5", 6.4e-149, 2.2084441020371192e-148),
+    # E P^4 = 2.4e301: lam E P^4 i4 would overflow
+    ("bounds interference --lambda 1e6 --R 0.1 --alpha 4 --power exp:1e75",
+     0.009328342035726057, 0.03906548956252048),
+])
+def test_bounds_stay_in_float_range_at_extreme_scales(argv, dw, dk):
+    code, out, err = run_main(*argv.split())
+    assert code == 0, err
+    got = json.loads(out)
+    assert math.isclose(got["dw_bound"], dw, rel_tol=1e-12)
+    assert math.isclose(got["dk_bound"], dk, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ The 2-D quadrature cross-check of the attenuation integrals lives in the
 acceptance suite.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,37 +207,68 @@ def test_hertzian_integral_divergence():
 
 def test_interference_golden():
     # lambda = 50, R = 1, alpha = 4, exponential(1) powers
-    r = interference_bounds(
-        50.0,
-        2.0,
-        6.0,
-        24.0,
-        hertzian_integral(1.0, 4.0, 2),
-        hertzian_integral(1.0, 4.0, 3),
-        hertzian_integral(1.0, 4.0, 4),
-    )
+    r = interference_bounds(50.0, 1.0, 4.0, ExponentialMark(1.0))
     assert abs(r.dw_bound - 0.13192267821378836) <= 1e-14
     assert abs(r.dk_bound - 0.5524694516006106) <= 1e-13
     assert not r.vacuous
 
 
 def test_interference_power_scale_invariance():
-    i2, i3, i4 = (hertzian_integral(1.0, 4.0, m) for m in (2, 3, 4))
-    base = interference_bounds(50.0, 2.0, 6.0, 24.0, i2, i3, i4)
-    c = 5.0
-    scaled = interference_bounds(
-        50.0, c ** 2 * 2.0, c ** 3 * 6.0, c ** 4 * 24.0, i2, i3, i4
-    )
+    base = interference_bounds(50.0, 1.0, 4.0, ExponentialMark(1.0))
+    scaled = interference_bounds(50.0, 1.0, 4.0, ExponentialMark(5.0))
     assert np.isclose(base.dw_bound, scaled.dw_bound, rtol=1e-12)
     assert np.isclose(base.dk_bound, scaled.dk_bound, rtol=1e-12)
 
 
 def test_interference_denser_is_closer():
-    i2, i3, i4 = (hertzian_integral(1.0, 4.0, m) for m in (2, 3, 4))
-    sparse = interference_bounds(5.0, 2.0, 6.0, 24.0, i2, i3, i4)
-    dense = interference_bounds(500.0, 2.0, 6.0, 24.0, i2, i3, i4)
+    sparse = interference_bounds(5.0, 1.0, 4.0, ExponentialMark(1.0))
+    dense = interference_bounds(500.0, 1.0, 4.0, ExponentialMark(1.0))
     assert dense.dw_bound < sparse.dw_bound
     assert np.isclose(sparse.dw_bound / dense.dw_bound, 10.0, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# every calculator is the shot-noise bound of its kernel integrals
+
+powers = st.tuples(st.sampled_from((ConstantMark, UniformMark, ExponentialMark)), st.floats(0.1, 10.0))
+
+
+def assert_within_4_ulp(got, want):
+    # shotnoise_bounds forms lam |W| a_m and lam E P^m i_m where the
+    # calculators normalize first, so the two round differently
+    tol = 4 * sys.float_info.epsilon
+    assert math.isclose(got.dw_bound, want.dw_bound, rel_tol=tol, abs_tol=0.0)
+    assert math.isclose(got.dk_bound, want.dk_bound, rel_tol=tol, abs_tol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m3=kernel_moments, m4=kernel_moments)
+def test_first_chaos_is_shotnoise_of_its_kernel_integrals(m3, m4):
+    got = first_chaos_bounds(m3, m4)
+    want = shotnoise_bounds(KernelMoments(1.0, m3, m4))
+    assert (got.dw_bound, got.dk_bound) == (want.dw_bound, want.dk_bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=regions, law=laws, mark=marks)
+def test_cluster_bounds_are_shotnoise_of_their_kernel_integrals(region, law, mark):
+    family, param = mark
+    m = family(param)
+    _, _, ez3, ez4 = progeny_moment_table(law, 4).moments
+    ll = region.lam * region.leb
+    km = KernelMoments(ll * m.abs_moment(2), ll * m.abs_moment(3) * ez3, ll * m.abs_moment(4) * ez4)
+    assert_within_4_ulp(cluster_bounds_for_law(region, law, m), shotnoise_bounds(km))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.floats(0.01, 1e3), R=st.floats(0.1, 10.0), alpha=st.floats(2.5, 6.0), power=powers
+)
+def test_interference_is_shotnoise_of_its_kernel_integrals(lam, R, alpha, power):
+    family, param = power
+    p = family(param)
+    km = KernelMoments(*(lam * p.abs_moment(m) * hertzian_integral(R, alpha, m) for m in (2, 3, 4)))
+    assert_within_4_ulp(interference_bounds(lam, R, alpha, p), shotnoise_bounds(km))
 
 
 def test_validation():
@@ -251,9 +283,9 @@ def test_validation():
     with pytest.raises(DomainError):
         compound_cluster_bounds(Region(1.0, 1.0), ConstantMark(0.0), 1.0, 1.0)
     with pytest.raises(DomainError):
-        interference_bounds(50.0, 0.0, 6.0, 24.0, 1.0, 1.0, 1.0)
+        interference_bounds(50.0, 1.0, 4.0, ConstantMark(0.0))
     with pytest.raises(DomainError, match=">= 0"):
-        interference_bounds(50.0, 2.0, -6.0, 24.0, 1.0, 1.0, 1.0)
+        first_chaos_bounds(0.1, math.nan)
 
 
 def test_report_serialization():

@@ -529,6 +529,13 @@ def test_abel_plana_validation():
         CertifiedSum(1.0, -0.1)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_certified_sum_rejects_a_nan_or_infinite_radius(radius):
+    # a NaN radius would make contains() False for every x
+    with pytest.raises(DomainError):
+        CertifiedSum(1.0, radius)
+
+
 def test_certified_sum_interval():
     cs = CertifiedSum(2.0, 0.5)
     assert cs.lower == 1.5 and cs.upper == 2.5

@@ -93,7 +93,7 @@ def test_interference_model_accepts_nonnegative_powers(power):
 
 
 def test_interference_model_rejects_a_nan_power():
-    with pytest.raises(DomainError, match="nonnegative"):
+    with pytest.raises(DomainError, match="constant mark value must be finite"):
         InterferenceModel(1.0, 1.0, 4.0, power=ConstantMark(math.nan))
 
 
