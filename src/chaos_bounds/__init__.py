@@ -46,7 +46,6 @@ from .progeny import (
 )
 from .gaussian_bounds import (
     GaussianBoundReport,
-    KernelMoments,
     Region,
     cluster_bounds_for_law,
     compound_cluster_bounds,

@@ -41,7 +41,6 @@ from .deviations import (
 )
 from .errors import ChaosBoundsError, DomainError, UnknownFamily, check_integer, check_positive
 from .gaussian_bounds import (
-    KernelMoments,
     Region,
     cluster_bounds_for_law,
     compound_cluster_bounds,
@@ -177,7 +176,7 @@ def _cmd_bounds_first_chaos(args):
 
 
 def _cmd_bounds_shot_noise(args):
-    return shotnoise_bounds(KernelMoments(args.i2, args.i3, args.i4))
+    return shotnoise_bounds(args.i2, args.i3, args.i4)
 
 
 def _cmd_bounds_compound_cluster(args):
@@ -322,7 +321,7 @@ def _build_gauss_scenario(args):
         return ClusterModel(
             1.0,
             args.lambda_leb,
-            FactorialMoments((0.0, 0.0, 0.0, 0.0)),
+            FactorialMoments((0.0,)),
             mark=mark,
             delay_rate=args.beta,
         )

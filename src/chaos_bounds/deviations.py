@@ -265,8 +265,7 @@ def _insurance_checks(lam: float, h: float, mu_mean: float, T: float, strict: bo
     """Check the inputs both corollaries share and return regime_ok; with
     strict=True a regime violation raises instead."""
     check_positive("lam", lam)
-    if not (0.0 < h < 1.0):
-        raise DomainError("h must lie in (0, 1)")
+    PoissonMean(h)  # domain + subcriticality checks
     check_positive("mu_mean", mu_mean)
     check_positive("T", T)
     nu = h - 1.0 - math.log(h)

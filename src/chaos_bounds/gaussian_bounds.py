@@ -37,20 +37,6 @@ class Region:
 
 
 @dataclass(frozen=True)
-class KernelMoments:
-    """The three kernel integrals (orders 2, 3, 4); i3_abs uses |kernel|^3."""
-
-    i2: float
-    i3_abs: float
-    i4: float
-
-    def __post_init__(self):
-        check_positive("i2", self.i2)
-        if self.i3_abs < 0 or self.i4 < 0:
-            raise DomainError("kernel moments must be >= 0")
-
-
-@dataclass(frozen=True)
 class GaussianBoundReport:
     """A (dw, dk) bound pair plus an echo of what produced it.
 
@@ -110,12 +96,12 @@ def first_chaos_bounds(m3: float, m4: float) -> GaussianBoundReport:
     return _report(1, 1, m3, m4, {"kind": "first-chaos", "m3": m3, "m4": m4})
 
 
-def shotnoise_bounds(km: KernelMoments) -> GaussianBoundReport:
+def shotnoise_bounds(i2: float, i3_abs: float, i4: float) -> GaussianBoundReport:
     """Bounds for a standardized shot-noise functional from its raw kernel
-    integrals; invariant under kernel rescaling (i2,i3,i4) -> (c^2 i2, c^3 i3,
-    c^4 i4)."""
-    echo = {"kind": "shot-noise", "i2": km.i2, "i3_abs": km.i3_abs, "i4": km.i4}
-    return _report(1, km.i2, km.i3_abs, km.i4, echo)
+    integrals int f^2, int |f|^3 and int f^4 (``_report``'s rules); invariant
+    under kernel rescaling (i2,i3,i4) -> (c^2 i2, c^3 i3, c^4 i4)."""
+    echo = {"kind": "shot-noise", "i2": i2, "i3_abs": i3_abs, "i4": i4}
+    return _report(1, i2, i3_abs, i4, echo)
 
 
 def compound_cluster_bounds(

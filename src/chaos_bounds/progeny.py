@@ -193,12 +193,13 @@ class FactorialMoments:
         return self.values[0]
 
     def factorial_moments(self, n: int) -> list[float]:
-        """The first n stored values."""
-        if n > len(self.values):
+        """The first n stored values, padded with 0s past a stored 0: E(P)_i = 0
+        means P < i almost surely, so every later factorial moment is 0."""
+        if n > len(self.values) and 0.0 not in self.values:
             raise InsufficientMoments(
                 f"law stores {len(self.values)} factorial moments, {n} requested"
             )
-        return list(self.values[:n])
+        return list(self.values[:n]) + [0.0] * (n - len(self.values))
 
     def check_samplable(self) -> None:
         """Raise unless this is the all-zero law, the only one with a sampler."""

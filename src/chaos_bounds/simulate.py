@@ -170,8 +170,8 @@ class ClusterModel:
 @dataclass(frozen=True)
 class InterferenceModel:
     """Planar interference at the origin: transmitters form a Poisson process
-    of intensity lam on R^2, each emits an iid power, and the received signal
-    decays like max{radius, distance}^(-alpha).
+    of intensity lam on R^2, each emits an iid power P of any sign, and the
+    received signal decays like max{radius, distance}^(-alpha).
 
     Simulation draws every transmitter inside ``truncation_radius`` rho
     exactly and the field beyond rho as one normal draw with that field's
@@ -179,12 +179,13 @@ class InterferenceModel:
     ``mean_var``'s mean and variance.  The field beyond rho is a first chaos
     with kernel f = P r^(-alpha), so by the first-chaos bound its W1 distance
     to that normal is at most lam int |f|^3 / (lam int f^2) = c rho^(-alpha),
-    c = (E P^3 / E P^2) (2 alpha - 2) / (3 alpha - 2).
+    c = (E|P|^3 / E P^2) (2 alpha - 2) / (3 alpha - 2).
 
     tail_eps sets the accuracy target w: the sd of the field beyond rho_eps,
-    the radius where that field's mean is tail_eps, which bounds the W1 error
-    of replacing that field by its mean.  rho is the least radius >= radius
-    with c rho^(-alpha) <= w, so a smaller tail_eps gives a larger rho.
+    the radius where that field's absolute mean (the mean with |P| for P) is
+    tail_eps, which bounds the W1 error of replacing that field by its mean.
+    rho is the least radius >= radius with c rho^(-alpha) <= w, so a smaller
+    tail_eps gives a larger rho.
     radius and alpha follow the rules of ``hertzian_integral(radius, alpha,
     1)``, the integral the mean needs, so alpha must exceed 2.
     """
@@ -201,15 +202,12 @@ class InterferenceModel:
         check_positive("tail_eps", self.tail_eps)
         if isinstance(self.power, CustomAbsMoments):
             raise DomainError("a moment-only power law cannot be sampled")
-        # E P = E|P| exactly when P >= 0 almost surely
-        if self.power.mean != self.power.abs_moment(1):
-            raise DomainError("emitted powers must be nonnegative")
 
     @cached_property
     def truncation_radius(self) -> float:
         """rho = max{radius, (c / w)^(1/alpha)}.  With k2 = 2 pi lam E P^2 / (2 alpha
         - 2), w = sqrt(k2) rho_eps^(1 - alpha) is the far field's sd beyond
-        rho_eps = max{radius, (2 pi lam E P / ((alpha - 2) tail_eps))^(1/(alpha - 2))};
+        rho_eps = max{radius, (2 pi lam E|P| / ((alpha - 2) tail_eps))^(1/(alpha - 2))};
         (c / w)^(1/alpha) is taken as (c / sqrt k2)^(1/alpha) rho_eps^((alpha - 1)
         / alpha), so an underflowing w divides nothing by 0.  A zero power has
         no field: rho = radius."""
@@ -231,7 +229,7 @@ class InterferenceModel:
         a, rho = self.alpha, self.truncation_radius
         scale = 2.0 * math.pi * self.lam
         return (
-            scale * self.power.abs_moment(1) * rho ** (2.0 - a) / (a - 2.0),
+            scale * self.power.mean * rho ** (2.0 - a) / (a - 2.0),
             scale * self.power.abs_moment(2) * rho ** (2.0 - 2.0 * a) / (2.0 * a - 2.0),
         )
 
@@ -271,7 +269,7 @@ class InterferenceModel:
         lam E[P] i1 and lam E[P^2] i2 for the attenuation integrals i1, i2."""
         p, R, a = self.power, self.radius, self.alpha
         return (
-            self.lam * p.abs_moment(1) * hertzian_integral(R, a, 1),
+            self.lam * p.mean * hertzian_integral(R, a, 1),
             self.lam * p.abs_moment(2) * hertzian_integral(R, a, 2),
         )
 

@@ -234,9 +234,14 @@ def test_normalizer_out_of_float_range_exit_2(argv):
     "moments series --offspring poisson:0.5 --m 3 --rel-tol inf",
     "moments abel --nu inf --m 3",
     "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --mark const:inf",
+    # a Poisson(h) offspring mean too close to criticality (a half-width of
+    # 5.7e17), and a subnormal one
+    "tail interval --lambda 1 --h 0.9999999999 --mu 1 --T 1e4 --x 4",
+    "tail interval --lambda 1 --h 1e-310 --mu 1 --T 1e4 --x 4",
+    "tail insurance --lambda 1 --h 0.9999999999 --mu 1 --T 64 --k 2",
 ])
 def test_bound_or_interval_past_float_range_exit_2(argv):
-    # each of these used to print JSON's non-standard Infinity with exit 0
+    # each of these used to exit 0, most printing JSON's non-standard Infinity
     code, out, err = run_main(*argv.split())
     assert code == 2, err
     assert out == ""
@@ -398,17 +403,25 @@ def test_binomial_moments_past_float_range_of_p_powers():
 
 
 def test_verify_moments_rejects_law_before_simulating(monkeypatch):
-    # factorial:0 samples (no offspring) but stores too few moments for the
-    # exact standard errors, which need E Z^1..E Z^6
+    # factorial:0.5 stores too few moments for the exact standard errors,
+    # which need E Z^1..E Z^6, and that is found before any draw
     from chaos_bounds import simulate
 
     def no_simulation(*args, **kw):
         raise AssertionError("drew cascades before computing the theory moments")
 
     monkeypatch.setattr(simulate, "_replicate", no_simulation)
-    code, out, err = run_main("verify", "moments", "--offspring", "factorial:0", "--reps", "10")
+    code, out, err = run_main("verify", "moments", "--offspring", "factorial:0.5", "--reps", "10")
     assert code == 2, err
     assert out == "" and err == "error: law stores 1 factorial moments, 6 requested\n"
+
+
+def test_the_zero_offspring_law_has_every_moment():
+    # factorial:0 stores E(P)_1 = 0, so P = 0, Z = 1 and every moment is 1
+    code, out, err = run_main("moments", "gw", "--offspring", "factorial:0", "--n", "3")
+    assert code == 0 and json.loads(out)["moments"] == [1.0] * 3, err
+    code, out, err = run_main("verify", "moments", "--offspring", "factorial:0", "--reps", "2000", "--seed", "1")
+    assert code == 0, err
 
 
 @pytest.mark.parametrize(

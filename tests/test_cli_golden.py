@@ -82,6 +82,7 @@ CASES = [
     ("verify gauss --scenario interference --lambda 1 --R 1 --alpha 4 --reps 20 --seed 1", None),
     ("verify gauss --scenario interference --lambda 1 --R 1 --alpha 4 --reps 20 --seed 1 --power exp:1 --tail-eps 10", None),
     ("verify gauss --scenario interference --lambda 1 --R 1 --alpha 4 --reps 10 --seed 1 --format csv", None),
+    ("verify gauss --scenario interference --lambda 50 --R 1 --alpha 4 --power gauss:1 --reps 200 --seed 1", None),
     ("verify bci --h 0.5 --T 10 --reps 50 --seed 1", None),
     ("verify bci --h 0.5 --T 10 --reps 50 --seed 1 --lambda 2 --beta 2 --mark exp:1 --delta-scale 2 --x-max 2 --x-step 1 --m-max 6", None),
     ("verify bci --h 0.5 --T 10 --reps 50 --seed 1 --delta-scale 1e6", None),

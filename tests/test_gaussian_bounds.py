@@ -21,7 +21,6 @@ from chaos_bounds import (
     DivergentIntegral,
     DomainError,
     ExponentialMark,
-    KernelMoments,
     PoissonMean,
     Region,
     UniformMark,
@@ -49,14 +48,13 @@ def test_first_chaos_goldens():
 
 
 def test_shotnoise_golden_and_scale_invariance():
-    km = KernelMoments(1.0, 0.1, 0.01)
-    r = shotnoise_bounds(km)
+    r = shotnoise_bounds(1.0, 0.1, 0.01)
     assert r.dw_bound == 0.1
     assert abs(r.dk_bound - 0.4) <= 1e-15
     # rescaling the kernel by c maps (i2, i3, i4) -> (c^2 i2, c^3 i3, c^4 i4)
     # and must leave both bounds unchanged
     for c in (0.5, 3.0):
-        rc = shotnoise_bounds(KernelMoments(c ** 2 * 1.0, c ** 3 * 0.1, c ** 4 * 0.01))
+        rc = shotnoise_bounds(c ** 2 * 1.0, c ** 3 * 0.1, c ** 4 * 0.01)
         assert np.isclose(rc.dw_bound, r.dw_bound, rtol=1e-12)
         assert np.isclose(rc.dk_bound, r.dk_bound, rtol=1e-12)
 
@@ -166,8 +164,8 @@ kernel_moments = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
 @settings(max_examples=100, deadline=None)
 @given(i2=st.floats(1e-3, 1e3), i3=kernel_moments, i4=kernel_moments, c=scales)
 def test_shotnoise_kernel_rescaling_invariance(i2, i3, i4, c):
-    base = shotnoise_bounds(KernelMoments(i2, i3, i4))
-    scaled = shotnoise_bounds(KernelMoments(c ** 2 * i2, c ** 3 * i3, c ** 4 * i4))
+    base = shotnoise_bounds(i2, i3, i4)
+    scaled = shotnoise_bounds(c ** 2 * i2, c ** 3 * i3, c ** 4 * i4)
     assert math.isclose(scaled.dw_bound, base.dw_bound, rel_tol=1e-12)
     assert math.isclose(scaled.dk_bound, base.dk_bound, rel_tol=1e-12)
 
@@ -245,7 +243,7 @@ def assert_within_4_ulp(got, want):
 @given(m3=kernel_moments, m4=kernel_moments)
 def test_first_chaos_is_shotnoise_of_its_kernel_integrals(m3, m4):
     got = first_chaos_bounds(m3, m4)
-    want = shotnoise_bounds(KernelMoments(1.0, m3, m4))
+    want = shotnoise_bounds(1.0, m3, m4)
     assert (got.dw_bound, got.dk_bound) == (want.dw_bound, want.dk_bound)
 
 
@@ -256,8 +254,8 @@ def test_cluster_bounds_are_shotnoise_of_their_kernel_integrals(region, law, mar
     m = family(param)
     _, _, ez3, ez4 = progeny_moment_table(law, 4).moments
     ll = region.lam * region.leb
-    km = KernelMoments(ll * m.abs_moment(2), ll * m.abs_moment(3) * ez3, ll * m.abs_moment(4) * ez4)
-    assert_within_4_ulp(cluster_bounds_for_law(region, law, m), shotnoise_bounds(km))
+    want = shotnoise_bounds(ll * m.abs_moment(2), ll * m.abs_moment(3) * ez3, ll * m.abs_moment(4) * ez4)
+    assert_within_4_ulp(cluster_bounds_for_law(region, law, m), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,8 +265,8 @@ def test_cluster_bounds_are_shotnoise_of_their_kernel_integrals(region, law, mar
 def test_interference_is_shotnoise_of_its_kernel_integrals(lam, R, alpha, power):
     family, param = power
     p = family(param)
-    km = KernelMoments(*(lam * p.abs_moment(m) * hertzian_integral(R, alpha, m) for m in (2, 3, 4)))
-    assert_within_4_ulp(interference_bounds(lam, R, alpha, p), shotnoise_bounds(km))
+    want = shotnoise_bounds(*(lam * p.abs_moment(m) * hertzian_integral(R, alpha, m) for m in (2, 3, 4)))
+    assert_within_4_ulp(interference_bounds(lam, R, alpha, p), want)
 
 
 def test_validation():
@@ -277,7 +275,7 @@ def test_validation():
     with pytest.raises(DomainError):
         Region(1.0, -1.0)
     with pytest.raises(DomainError):
-        KernelMoments(0.0, 1.0, 1.0)
+        shotnoise_bounds(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         first_chaos_bounds(-0.1, 0.01)
     with pytest.raises(DomainError):

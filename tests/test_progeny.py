@@ -72,6 +72,9 @@ def test_factorial_moments_stored_list():
     assert factorial_moments(law, 2) == [0.4, 0.1]
     with pytest.raises(InsufficientMoments):
         factorial_moments(law, 3)
+    # a stored 0 means P < i, so every later factorial moment is 0
+    assert factorial_moments(FactorialMoments((0.4, 0.0)), 4) == [0.4, 0.0, 0.0, 0.0]
+    assert progeny_moment_table(FactorialMoments((0.0,)), 6).moments == (1.0,) * 6
 
 
 def test_offspring_validation():

@@ -74,10 +74,10 @@ def test_cluster_model_validation():
 def test_interference_model_validation():
     with pytest.raises(DivergentIntegral):
         InterferenceModel(1.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        InterferenceModel(1.0, 1.0, 4.0, power=CenteredGaussianMark(1.0))
-    with pytest.raises(DomainError):
-        InterferenceModel(1.0, 1.0, 4.0, power=ConstantMark(-1.0))
+    # signed powers are first chaoses too, and the mean is lam E P i1 with the signed E P
+    assert InterferenceModel(1.0, 1.0, 4.0, power=CenteredGaussianMark(1.0)).mean_var()[0] == 0.0
+    i1 = hertzian_integral(1.0, 4.0, 1)
+    assert InterferenceModel(3.0, 1.0, 4.0, power=ConstantMark(-1.0)).mean_var()[0] == -3.0 * i1
     with pytest.raises(DomainError):
         InterferenceModel(1.0, 0.0, 4.0)
     with pytest.raises(DomainError):
@@ -88,8 +88,9 @@ def test_interference_model_validation():
     "power", [ConstantMark(0.0), ConstantMark(-0.0), UniformMark(2.0), ExponentialMark(1.0)]
 )
 def test_interference_model_accepts_nonnegative_powers(power):
-    # the sign rule is E P = E|P|, which every nonnegative family meets exactly
+    # a nonnegative power's signed mean equals its absolute mean
     assert InterferenceModel(1.0, 1.0, 4.0, power=power).power is power
+    assert power.mean == power.abs_moment(1)
 
 
 def test_interference_model_rejects_a_nan_power():
@@ -303,20 +304,32 @@ def test_progeny_matches_the_kept_labels_kernel(law):
     assert got.dtype == np.int64
 
 
-def test_chunked_fields_match_campbell():
-    # 200 fields to a chunk at the golden field, where rho = 1.056 is barely
-    # past R and the field beyond rho carries 18% of the variance: totals that
-    # drew only its mean would read ~6.9 against the exact 8.38
-    model = InterferenceModel(1.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
-    rng = np.random.default_rng(203)
+def _assert_campbell(model, rng):
+    """200 fields to a chunk, 50 chunks: the sample mean and variance lie
+    within 4 SE of the exact ``mean_var``."""
     x = np.concatenate([model.sample(rng, 200) for _ in range(50)])
     mean, var = model.mean_var()
-    assert var == pytest.approx(8.3776, abs=1e-4)
-    assert model.far_field[1] > 0.18 * var
     got = x.var(ddof=1)
     assert abs(x.mean() - mean) <= 4.0 * math.sqrt(got / x.size)
     fourth = np.mean((x - x.mean()) ** 4)
     assert abs(got - var) <= 4.0 * math.sqrt((fourth - got * got) / x.size)
+
+
+def test_chunked_fields_match_campbell():
+    # the golden field, where rho = 1.056 is barely past R and the field beyond
+    # rho carries 18% of the variance: totals that drew only its mean would
+    # read ~6.9 against the exact 8.38
+    model = InterferenceModel(1.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=10.0)
+    var = model.mean_var()[1]
+    assert var == pytest.approx(8.3776, abs=1e-4)
+    assert model.far_field[1] > 0.18 * var
+    rng = np.random.default_rng(203)
+    _assert_campbell(model, rng)
+    # a signed power: mean lam E P i1 = 0 and variance lam E P^2 i2
+    model = InterferenceModel(1.0, 1.0, 4.0, power=CenteredGaussianMark(1.0), tail_eps=10.0)
+    assert model.mean_var() == (0.0, pytest.approx(4.0 * math.pi / 3.0, rel=1e-15))
+    assert model.far_field[0] == 0.0
+    _assert_campbell(model, rng)
 
 
 @pytest.mark.parametrize("model, size", [
@@ -324,6 +337,8 @@ def test_chunked_fields_match_campbell():
     (InterferenceModel(0.01, 3.0, 4.0, tail_eps=1e6), 400),
     (InterferenceModel(5.0, 1.0, 4.0, power=ExponentialMark(1.0), tail_eps=1.0), 200),
     (InterferenceModel(50.0, 1.0, 4.0, power=UniformMark(2.0), tail_eps=10.0), 1),
+    # a signed power, whose field beyond rho has mean 0
+    (InterferenceModel(50.0, 1.0, 4.0, power=CenteredGaussianMark(1.0), tail_eps=1.0), 20),
 ])
 def test_fields_match_the_label_kernel(model, size):
     got = model.sample(np.random.default_rng(77), size)
