@@ -8,8 +8,10 @@ config file, unwritable --output or --dump-samples), 2 domain error,
 
 Every leaf command is one row of ``_COMMANDS``: its group, name, handler and
 flags, each flag declared once with its type, default and whether it is
-required.  ``build_parser`` builds argparse from that table; ``main`` builds
-it once per process and reuses it, since parsing never changes a parser.
+required.  A flag's type checks it as argparse reads it, so handlers receive
+parsed laws and orders or lengths within MAX_SIZE.  ``build_parser`` builds
+argparse from that table; ``main`` builds it once per process and reuses it,
+since parsing never changes a parser.
 Only the verify handlers import ``simulate``, so a calculator command loads
 only the standard library.
 
@@ -22,6 +24,7 @@ checks it and explicit flags, coming later, win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -97,15 +100,23 @@ class Flag:
     an on/off switch), default and whether it is required, plus any other
     add_argument keywords.  The argparse keywords are built here, once."""
 
-    def __init__(self, name: str, type: Callable = float, default=None, required=False, **more):
+    def __init__(self, name: str, type: Callable = float, default=None, required=False,
+                 capped=False, **more):
         self.name = name
         self.dest = "lam" if name == "--lambda" else name[2:].replace("-", "_")
+        if capped:  # held to MAX_SIZE as it is read; argparse's messages keep the type's name
+            type = functools.wraps(type)(lambda text, read=type: _check_size(name, read(text)))
         kind = {"action": "store_true"} if type is bool else {"type": type}
         self.kwargs = dict(kind, dest=self.dest, default=default, required=required, **more)
 
 
-def _req(name: str, type: Callable = float) -> Flag:
-    return Flag(name, type, required=True)
+def _req(name: str, type: Callable = float, **more) -> Flag:
+    return Flag(name, type, required=True, **more)
+
+
+# the one-parameter mark families, by their name in a mark string
+_MARKS = {"const": ConstantMark, "uniform": UniformMark, "exp": ExponentialMark,
+          "gauss": CenteredGaussianMark}
 
 
 def parse_mark(text: str):
@@ -117,15 +128,8 @@ def parse_mark(text: str):
         params = [float(tok) for tok in rest.split(",")] if rest else []
     except ValueError:
         raise UnknownFamily(f"bad mark parameters in {text!r}")
-    if len(params) == 1:
-        if fam == "const":
-            return ConstantMark(params[0])
-        if fam == "uniform":
-            return UniformMark(params[0])
-        if fam == "exp":
-            return ExponentialMark(params[0])
-        if fam == "gauss":
-            return CenteredGaussianMark(params[0])
+    if len(params) == 1 and fam in _MARKS:
+        return _MARKS[fam](params[0])
     if fam == "custom" and len(params) >= 2:
         return CustomAbsMoments(tuple(params))
     raise UnknownFamily(
@@ -158,11 +162,12 @@ def parse_offspring(text: str):
     )
 
 
-def _check_size(flag: str, value: int) -> None:
-    """Reject an order or length flag above MAX_SIZE before anything is
-    allocated for it."""
+def _check_size(flag: str, value: int) -> int:
+    """value, unless an order or length flag is above MAX_SIZE: checked as the
+    flag is read, before anything is allocated for it."""
     if value > MAX_SIZE:
         raise DomainError(f"{flag} {value} is above the limit of {MAX_SIZE}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,7 @@ def _cmd_bounds_shot_noise(args):
 
 def _cmd_bounds_compound_cluster(args):
     region = Region(args.lam, args.leb)
-    return compound_cluster_bounds(region, parse_mark(args.mark), args.ez3, args.ez4)
+    return compound_cluster_bounds(region, args.mark, args.ez3, args.ez4)
 
 
 def _cmd_bounds_hawkes(args):
@@ -189,16 +194,15 @@ def _cmd_bounds_hawkes(args):
     leaf's offspring law, echoing the law's family as kind and its
     parameters."""
     region = Region(args.lam, args.leb)
-    mark = parse_mark(args.mark)
     law = PoissonMean(args.h) if args.subcommand == "hawkes-poisson" else Binomial(args.h, args.p)
-    report = cluster_bounds_for_law(region, law, mark)
+    report = cluster_bounds_for_law(region, law, args.mark)
     params = law.describe()
     kind = "hawkes-" + params.pop("family")
     return replace(report, inputs=dict(report.inputs, kind=kind, **params))
 
 
 def _cmd_bounds_interference(args):
-    return interference_bounds(args.lam, args.R, args.alpha, parse_mark(args.power))
+    return interference_bounds(args.lam, args.R, args.alpha, args.power)
 
 
 def _cmd_delta_poisson(args):
@@ -233,50 +237,40 @@ def _cmd_tail_mdp(args):
 
 
 def _cmd_tail_cumulant(args):
-    _check_size("--m-max", args.m_max)
-    mark = parse_mark(args.mark)
-    gamma = args.gamma
-    if gamma is None:  # no static default: the mark law's own gamma
-        gamma = mark.gamma
-    law = parse_offspring(args.offspring)
-    report = cumulant_condition_for_law(mark, law, args.lambda_leb, gamma, args.delta, args.m_max)
+    # no static default: the mark law's own gamma
+    gamma = args.mark.gamma if args.gamma is None else args.gamma
+    report = cumulant_condition_for_law(
+        args.mark, args.offspring, args.lambda_leb, gamma, args.delta, args.m_max
+    )
     return dict(report.to_dict(), gamma=gamma, delta=args.delta)
 
 
 def _cmd_moments_gw(args):
-    _check_size("--n", args.n)
-    law = parse_offspring(args.offspring)
-    moments = list(progeny_moment_table(law, args.n).moments)
-    return {"offspring": law.describe(), "n": args.n, "moments": moments}
+    moments = list(progeny_moment_table(args.offspring, args.n).moments)
+    return {"offspring": args.offspring.describe(), "n": args.n, "moments": moments}
 
 
 def _cmd_moments_factorial(args):
-    _check_size("--n", args.n)
-    law = parse_offspring(args.offspring)
-    values = factorial_moments(law, args.n)
-    return {"offspring": law.describe(), "n": args.n, "factorial_moments": values}
+    values = factorial_moments(args.offspring, args.n)
+    return {"offspring": args.offspring.describe(), "n": args.n, "factorial_moments": values}
 
 
 def _cmd_moments_series(args):
-    law = parse_offspring(args.offspring)
     return {
-        "offspring": law.describe(),
+        "offspring": args.offspring.describe(),
         "m": args.m,
         "rel_tol": args.rel_tol,
-        "value": progeny_moment_series(law, args.m, args.rel_tol),
+        "value": progeny_moment_series(args.offspring, args.m, args.rel_tol),
     }
 
 
 def _cmd_moments_pmf(args):
-    law = parse_offspring(args.offspring)
     check_integer("--k-max", args.k_max, 1)
-    _check_size("--k-max", args.k_max)
-    pmf = [law.pmf(k) for k in range(1, args.k_max + 1)]
-    return {"offspring": law.describe(), "k_max": args.k_max, "pmf": pmf}
+    pmf = [args.offspring.pmf(k) for k in range(1, args.k_max + 1)]
+    return {"offspring": args.offspring.describe(), "k_max": args.k_max, "pmf": pmf}
 
 
 def _cmd_moments_abel(args):
-    _check_size("--m", args.m)
     cs = abel_plana_bound(args.nu, args.m)
     return {
         "nu": args.nu,
@@ -291,8 +285,7 @@ def _cmd_moments_abel(args):
 def _cmd_verify_moments(args):
     from .simulate import verify_moments
 
-    law = parse_offspring(args.offspring)
-    return verify_moments(law, args.reps, args.seed, workers=args.workers)
+    return verify_moments(args.offspring, args.reps, args.seed, workers=args.workers)
 
 
 # the flags each verify gauss scenario needs on top of its table row
@@ -304,11 +297,11 @@ _GAUSS_NEEDS = {
 }
 
 
-def _build_gauss_scenario(args):
+def _build_scenario(args, name: str):
+    """The model of verify gauss's --scenario name; verify bci simulates the
+    hawkes-poisson window, so both window checks build their window here."""
     from .simulate import ClusterModel, InterferenceModel
 
-    mark = parse_mark(args.mark)
-    name = args.scenario
     if name == "compound-poisson" and args.lam is not None:
         args.leaf_parser.error(
             "compound-poisson fixes --lambda at 1; set the window mass "
@@ -317,51 +310,40 @@ def _build_gauss_scenario(args):
     missing = [f for f in _GAUSS_NEEDS[name] if getattr(args, Flag(f).dest) is None]
     if missing:
         args.leaf_parser.error(f"--scenario {name} requires " + ", ".join(missing))
-    if name == "compound-poisson":
-        return ClusterModel(
-            1.0,
-            args.lambda_leb,
-            FactorialMoments((0.0,)),
-            mark=mark,
-            delay_rate=args.beta,
-        )
     if name == "interference":
-        return InterferenceModel(
-            args.lam, args.R, args.alpha, power=parse_mark(args.power), tail_eps=args.tail_eps
-        )
-    lam = args.lam
-    if lam is None:  # no static default: compound-poisson rejects it, interference needs it
-        lam = 1.0
-    if name == "hawkes-binomial":
+        return InterferenceModel(args.lam, args.R, args.alpha, power=args.power, tail_eps=args.tail_eps)
+    # no static --lambda default: interference needs it, and a window's is 1
+    lam, length = (1.0 if args.lam is None else args.lam), args.T
+    if name == "compound-poisson":  # no offspring, over a window of mass --lambda-leb
+        length, offspring = args.lambda_leb, FactorialMoments((0.0,))
+    elif name == "hawkes-binomial":
         if not args.h.is_integer():
             args.leaf_parser.error(f"--h must be an integer, got {args.h!r}")
         offspring = Binomial(int(args.h), args.p)
     else:
         offspring = PoissonMean(args.h)
-    return ClusterModel(lam, args.T, offspring, mark=mark, delay_rate=args.beta)
+    return ClusterModel(lam, length, offspring, mark=args.mark, delay_rate=args.beta)
 
 
 def _cmd_verify_gauss(args):
     from .simulate import verify_gaussian_bound
 
-    scenario = _build_gauss_scenario(args)
+    scenario = _build_scenario(args, args.scenario)
     return verify_gaussian_bound(scenario, args.reps, args.seed, workers=args.workers)
 
 
 def _cmd_verify_bci(args):
-    from .simulate import ClusterModel, verify_bci
+    from .simulate import verify_bci
 
-    mark = parse_mark(args.mark)
     check_positive("--delta-scale", args.delta_scale)
     if not (0 < args.x_step < math.inf and 0 <= args.x_max < math.inf):
         raise DomainError("need finite --x-step > 0 and --x-max >= 0")
     steps = math.floor(args.x_max / args.x_step + 1e-9)
     if steps >= MAX_SIZE:
         raise DomainError(f"the x-grid would have {steps + 1} points; at most {MAX_SIZE} are allowed")
-    _check_size("--m-max", args.m_max)
 
-    scenario = ClusterModel(args.lam, args.T, PoissonMean(args.h), mark=mark, delay_rate=args.beta)
-    gamma = mark.gamma
+    scenario = _build_scenario(args, "hawkes-poisson")
+    gamma = args.mark.gamma
     base = delta_poisson(args.h, args.lam * args.T, gamma)
     report = verify_bci(
         scenario,
@@ -406,11 +388,13 @@ _RUN_FLAGS = (
 )
 
 _LAMBDA = _req("--lambda")
-_MARK = Flag("--mark", str, "const:1")
-_POWER = Flag("--power", str, "const:1")
-_OFFSPRING = _req("--offspring", str)
+# a string default is parsed only when the flag is not given
+_MARK = Flag("--mark", parse_mark, "const:1")
+_POWER = Flag("--power", parse_mark, "const:1")
+_OFFSPRING = _req("--offspring", parse_offspring)
 _STRICT = Flag("--strict", bool, False)
-_M_MAX = Flag("--m-max", integer, 12)
+_M_MAX = Flag("--m-max", integer, 12, capped=True)
+_N = _req("--n", integer, capped=True)
 
 _COMMANDS = (
     ("bounds", "first-chaos", _cmd_bounds_first_chaos, (_req("--m3"), _req("--m4"))),
@@ -438,12 +422,12 @@ _COMMANDS = (
     ("tail", "mdp", _cmd_tail_mdp, (_req("--lower"), _req("--upper"))),
     ("tail", "cumulant", _cmd_tail_cumulant,
      (_OFFSPRING, _MARK, _req("--lambda-leb"), Flag("--gamma"), _req("--delta"), _M_MAX)),
-    ("moments", "gw", _cmd_moments_gw, (_OFFSPRING, _req("--n", integer))),
-    ("moments", "factorial", _cmd_moments_factorial, (_OFFSPRING, _req("--n", integer))),
+    ("moments", "gw", _cmd_moments_gw, (_OFFSPRING, _N)),
+    ("moments", "factorial", _cmd_moments_factorial, (_OFFSPRING, _N)),
     ("moments", "series", _cmd_moments_series,
      (_OFFSPRING, _req("--m", integer), Flag("--rel-tol", float, 1e-10))),
-    ("moments", "pmf", _cmd_moments_pmf, (_OFFSPRING, _req("--k-max", integer))),
-    ("moments", "abel", _cmd_moments_abel, (_req("--nu"), _req("--m", integer))),
+    ("moments", "pmf", _cmd_moments_pmf, (_OFFSPRING, _req("--k-max", integer, capped=True))),
+    ("moments", "abel", _cmd_moments_abel, (_req("--nu"), _req("--m", integer, capped=True))),
     ("verify", "moments", _cmd_verify_moments, (_OFFSPRING,)),
     ("verify", "gauss", _cmd_verify_gauss, (
         Flag("--scenario", str, required=True, choices=tuple(_GAUSS_NEEDS)),
@@ -601,8 +585,8 @@ def main(argv=None) -> int:
     parser = _PARSER
     if any(_names_config(tok) for tok in argv):
         argv = _config_as_flags(parser, argv)
-    args = parser.parse_args(argv)
-    try:
+    try:  # a flag's type may raise a domain error as argparse reads it
+        args = parser.parse_args(argv)
         if "seed" in args:  # only the verify leaves take the run flags
             _resolve_run_flags(args)
         return _emit(args, args.handler(args))

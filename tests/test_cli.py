@@ -354,6 +354,34 @@ def test_population_past_the_cap_exit_2(argv):
     assert err.count("\n") == 1
 
 
+GAUSS_SCENARIOS = {  # each verify gauss scenario with its required flags
+    "compound-poisson": "--lambda-leb 100",
+    "hawkes-poisson": "--h 0.5 --T 10",
+    "hawkes-binomial": "--h 2 --p 0.25 --T 10",
+    "interference": "--lambda 1 --R 1 --alpha 4",
+}
+
+
+# a law flag is parsed as argparse reads it, whether or not the scenario uses
+# the law: a hawkes or compound-poisson --power used to be ignored, with exit 0
+@pytest.mark.parametrize("law", ["--mark bogus", "--power bogus", "--power exp:-1"])
+@pytest.mark.parametrize("scenario", GAUSS_SCENARIOS)
+def test_every_given_law_flag_is_parsed(scenario, law):
+    argv = f"verify gauss --scenario {scenario} {GAUSS_SCENARIOS[scenario]} {law} --reps 10 --seed 1"
+    code, out, err = run_main(*argv.split())
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_law_flag_from_a_config_file_is_parsed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"power": "bogus"}))
+    argv = f"verify gauss --scenario hawkes-poisson {GAUSS_SCENARIOS['hawkes-poisson']} --reps 10"
+    code, out, err = run_main(*argv.split(), "--config", str(cfg))
+    assert code == 2 and out == "", err
+    assert err.startswith("error: unknown mark string 'bogus'") and err.count("\n") == 1
+
+
 def test_moments_abel_rejects_m_before_summing(monkeypatch):
     def no_sum(*args):
         raise AssertionError("computed the sum before checking --m")

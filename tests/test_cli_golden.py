@@ -124,6 +124,9 @@ CASES = [
     ("verify moments --offspring poisson:0.5 --reps 10 --workers 0", None),
     ("verify moments --offspring poisson:0.5 --reps 10 --seed -1", None),
     ("verify moments --offspring factorial:0.5 --reps 10", None),
+    ("verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --lambda 0 --reps 10", None),
+    ("verify bci --h 0.5 --T 10 --lambda 0 --reps 10", None),
+    ("verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --power bogus --reps 10", None),
     # config files and output
     ("delta poisson --config {config}", {"h": 0.5, "lambda-leb": 1e4}),
     ("delta poisson --config {config} --h 0.1", {"h": 0.5, "lambda-leb": 1e4}),
