@@ -11,7 +11,9 @@ flags, each flag declared once with its type, default and whether it is
 required.  A flag's type checks it as argparse reads it, so handlers receive
 parsed laws and orders or lengths within MAX_SIZE.  ``build_parser`` builds
 argparse from that table; ``main`` builds it once per process and reuses it,
-since parsing never changes a parser.
+since parsing never changes a parser.  Each verify gauss scenario is one row
+of ``_SCENARIOS``, the flags it reads; a given flag its row lacks is a usage
+error, and verify bci takes the hawkes-poisson row.
 Only the verify handlers import ``simulate``, so a calculator command loads
 only the standard library.
 
@@ -288,41 +290,31 @@ def _cmd_verify_moments(args):
     return verify_moments(args.offspring, args.reps, args.seed, workers=args.workers)
 
 
-# the flags each verify gauss scenario needs on top of its table row
-_GAUSS_NEEDS = {
-    "compound-poisson": ("--lambda-leb",),
-    "hawkes-poisson": ("--h", "--T"),
-    "hawkes-binomial": ("--h", "--p", "--T"),
-    "interference": ("--lambda", "--R", "--alpha"),
-}
-
-
 def _build_scenario(args, name: str):
-    """The model of verify gauss's --scenario name; verify bci simulates the
-    hawkes-poisson window, so both window checks build their window here."""
+    """The model of verify gauss's --scenario name, from its row of _SCENARIOS;
+    verify bci simulates the hawkes-poisson window, so both build it here."""
     from .simulate import ClusterModel, InterferenceModel
 
-    if name == "compound-poisson" and args.lam is not None:
-        args.leaf_parser.error(
-            "compound-poisson fixes --lambda at 1; set the window mass "
-            "with --lambda-leb"
-        )
-    missing = [f for f in _GAUSS_NEEDS[name] if getattr(args, Flag(f).dest) is None]
-    if missing:
-        args.leaf_parser.error(f"--scenario {name} requires " + ", ".join(missing))
+    row = _SCENARIOS[name]
+    unread = [f.name for f in _GAUSS_FLAGS
+              if getattr(args, f.dest, None) is not None and f.dest not in {g.dest for g in row}]
+    missing = [f.name for f in row if f.kwargs["required"] and getattr(args, f.dest) is None]
+    for rule, flags in (("does not read", unread), ("requires", missing)):
+        if flags:
+            args.leaf_parser.error(f"--scenario {name} {rule} " + ", ".join(flags))
+    # verify gauss declares every scenario flag with no default
+    vars(args).update({f.dest: f.kwargs["default"] for f in row if getattr(args, f.dest) is None})
     if name == "interference":
         return InterferenceModel(args.lam, args.R, args.alpha, power=args.power, tail_eps=args.tail_eps)
-    # no static --lambda default: interference needs it, and a window's is 1
-    lam, length = (1.0 if args.lam is None else args.lam), args.T
-    if name == "compound-poisson":  # no offspring, over a window of mass --lambda-leb
-        length, offspring = args.lambda_leb, FactorialMoments((0.0,))
+    if name == "compound-poisson":  # no offspring, so no delays: rate 1 over mass --lambda-leb
+        args.lam, args.T, args.beta, offspring = 1.0, args.lambda_leb, 1.0, FactorialMoments((0.0,))
     elif name == "hawkes-binomial":
         if not args.h.is_integer():
             args.leaf_parser.error(f"--h must be an integer, got {args.h!r}")
         offspring = Binomial(int(args.h), args.p)
     else:
         offspring = PoissonMean(args.h)
-    return ClusterModel(lam, length, offspring, mark=args.mark, delay_rate=args.beta)
+    return ClusterModel(args.lam, args.T, offspring, mark=args.mark, delay_rate=args.beta)
 
 
 def _cmd_verify_gauss(args):
@@ -388,13 +380,24 @@ _RUN_FLAGS = (
 )
 
 _LAMBDA = _req("--lambda")
-# a string default is parsed only when the flag is not given
-_MARK = Flag("--mark", parse_mark, "const:1")
-_POWER = Flag("--power", parse_mark, "const:1")
+_MARK = Flag("--mark", parse_mark, ConstantMark(1.0))
+_POWER = Flag("--power", parse_mark, ConstantMark(1.0))
 _OFFSPRING = _req("--offspring", parse_offspring)
 _STRICT = Flag("--strict", bool, False)
 _M_MAX = Flag("--m-max", integer, 12, capped=True)
 _N = _req("--n", integer, capped=True)
+
+# each verify gauss scenario: the flags it reads, with their defaults and
+# required rules.  verify gauss declares each of them once, with no default.
+_WINDOW = (Flag("--lambda", float, 1.0), _req("--T"), Flag("--beta", float, 1.0), _MARK)
+_SCENARIOS = {
+    "compound-poisson": (_req("--lambda-leb"), _MARK),
+    "hawkes-poisson": (_req("--h"),) + _WINDOW,
+    "hawkes-binomial": (_req("--h"), _req("--p")) + _WINDOW,
+    "interference": (_LAMBDA, _req("--R"), _req("--alpha"), _POWER, Flag("--tail-eps", float, 1.0)),
+}
+_GAUSS_FLAGS = tuple({f.name: Flag(f.name, f.kwargs["type"]) for row in _SCENARIOS.values()
+                      for f in row}.values())
 
 _COMMANDS = (
     ("bounds", "first-chaos", _cmd_bounds_first_chaos, (_req("--m3"), _req("--m4"))),
@@ -429,15 +432,10 @@ _COMMANDS = (
     ("moments", "pmf", _cmd_moments_pmf, (_OFFSPRING, _req("--k-max", integer, capped=True))),
     ("moments", "abel", _cmd_moments_abel, (_req("--nu"), _req("--m", integer, capped=True))),
     ("verify", "moments", _cmd_verify_moments, (_OFFSPRING,)),
-    ("verify", "gauss", _cmd_verify_gauss, (
-        Flag("--scenario", str, required=True, choices=tuple(_GAUSS_NEEDS)),
-        Flag("--lambda-leb"), Flag("--lambda"), Flag("--T"), Flag("--h"), Flag("--p"),
-        Flag("--beta", float, 1.0), _MARK, Flag("--R"), Flag("--alpha"), _POWER,
-        Flag("--tail-eps", float, 1.0),
-    )),
-    ("verify", "bci", _cmd_verify_bci, (
-        _req("--h"), Flag("--lambda", float, 1.0), _req("--T"), Flag("--beta", float, 1.0),
-        _MARK, Flag("--delta-scale", float, 1.0), Flag("--x-max", float, 4.0),
+    ("verify", "gauss", _cmd_verify_gauss,
+     (Flag("--scenario", str, required=True, choices=tuple(_SCENARIOS)),) + _GAUSS_FLAGS),
+    ("verify", "bci", _cmd_verify_bci, _SCENARIOS["hawkes-poisson"] + (
+        Flag("--delta-scale", float, 1.0), Flag("--x-max", float, 4.0),
         Flag("--x-step", float, 0.5), _M_MAX,
     )),
 )

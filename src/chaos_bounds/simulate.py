@@ -1,9 +1,10 @@
 """Exact Monte Carlo samplers and empirical verification of the bounds.
 
-A scenario, a ``ClusterModel`` window or an ``InterferenceModel`` field,
-owns its chunk sampler (``sample``), its expected point count
-(``expected_points``), its exact mean and variance (``mean_var``) and its
-Gaussian bounds (``bounds``), so the verify drivers never ask its type.
+A scenario, a ``ClusterModel`` window or an ``InterferenceModel`` field, owns
+its chunk sampler (``sample``), its expected point count (``expected_points``),
+its exact mean and variance (``mean_var``) and its Gaussian bounds
+(``bounds``), so ``verify_gaussian_bound`` never asks its type; ``verify_bci``
+takes windows only, since its cumulant check reads their offspring and marks.
 
 Cluster windows and progeny cascades are exact: both grow one generation at
 a time through the offspring law's own generation step

@@ -543,7 +543,36 @@ def test_compound_poisson_rejects_lambda():
         "--lambda-leb", "1e3", "--lambda", "2", "--reps", "10",
     )
     assert proc.returncode == 1
-    assert "fixes --lambda at 1" in proc.stderr
+    assert "--scenario compound-poisson does not read --lambda" in proc.stderr
+
+
+# each scenario with a well-formed flag that its row of cli._SCENARIOS lacks
+UNREAD_FLAGS = [
+    ("hawkes-poisson", ("--h", "0.5", "--T", "10"), ("--R", "3")),
+    ("hawkes-binomial", ("--h", "2", "--p", "0.25", "--T", "10"), ("--power", "exp:1")),
+    ("compound-poisson", ("--lambda-leb", "100"), ("--beta", "2")),
+    ("interference", ("--lambda", "1", "--R", "1", "--alpha", "4"), ("--h", "0.5")),
+]
+
+
+@pytest.mark.parametrize("scenario, flags, unread", UNREAD_FLAGS, ids=[c[0] for c in UNREAD_FLAGS])
+def test_a_flag_the_scenario_does_not_read_is_a_usage_error(scenario, flags, unread):
+    argv = ("verify", "gauss", "--scenario", scenario, *flags, "--reps", "20", "--seed", "1")
+    assert run_main(*argv)[0] in (0, 3)  # the scenario runs without the flag
+    code, out, err = run_main(*argv, *unread)
+    assert code == 1 and out == ""
+    assert err.endswith(f"--scenario {scenario} does not read {unread[0]}\n")
+
+
+def test_a_config_key_the_scenario_does_not_read_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 2}))
+    code, out, err = run_main(
+        "verify", "gauss", "--scenario", "compound-poisson", "--lambda-leb", "100",
+        "--reps", "20", "--config", str(cfg),
+    )
+    assert code == 1 and out == ""
+    assert err.endswith("--scenario compound-poisson does not read --beta\n")
 
 
 # ---------------------------------------------------------------------------

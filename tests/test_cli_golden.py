@@ -75,7 +75,7 @@ CASES = [
     ("verify moments --offspring binomial:3,0.2 --reps 5000 --seed 2 --workers 2", None),
     ("verify moments --offspring poisson:0.5 --reps 30 --seed 1 --format csv", None),
     ("verify gauss --scenario compound-poisson --lambda-leb 100 --reps 20 --seed 1", None),
-    ("verify gauss --scenario compound-poisson --lambda-leb 100 --reps 20 --seed 1 --beta 2 --mark exp:1 --workers 2", None),
+    ("verify gauss --scenario compound-poisson --lambda-leb 100 --reps 20 --seed 1 --mark exp:1 --workers 2", None),
     ("verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1", None),
     ("verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --reps 20 --seed 1 --lambda 2 --beta 0.5 --mark gauss:1", None),
     ("verify gauss --scenario hawkes-binomial --h 2 --p 0.25 --T 10 --reps 20 --seed 1", None),
@@ -101,6 +101,7 @@ CASES = [
     ("verify gauss --scenario nope", None),
     ("verify gauss --scenario compound-poisson --reps 10", None),
     ("verify gauss --scenario compound-poisson --lambda-leb 1e3 --lambda 2 --reps 10", None),
+    ("verify gauss --scenario compound-poisson --lambda-leb 100 --reps 20 --seed 1 --beta 2 --mark exp:1 --workers 2", None),
     ("verify gauss --scenario hawkes-poisson --h 0.5 --reps 10", None),
     ("verify gauss --scenario hawkes-binomial --h 2.5 --p 0.2 --T 10 --reps 10", None),
     ("verify gauss --scenario interference --lambda 1 --R 1 --reps 10", None),
@@ -127,6 +128,9 @@ CASES = [
     ("verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --lambda 0 --reps 10", None),
     ("verify bci --h 0.5 --T 10 --lambda 0 --reps 10", None),
     ("verify gauss --scenario hawkes-poisson --h 0.5 --T 10 --power bogus --reps 10", None),
+    ("verify gauss --scenario interference --lambda 1 --R 1 --alpha 4 --power custom:1,2 --reps 10", None),
+    ("verify gauss --scenario hawkes-poisson --h 0.9 --T 1e306 --reps 2", None),
+    ("verify bci --h 0.9 --T 1e306 --reps 2", None),
     # config files and output
     ("delta poisson --config {config}", {"h": 0.5, "lambda-leb": 1e4}),
     ("delta poisson --config {config} --h 0.1", {"h": 0.5, "lambda-leb": 1e4}),
