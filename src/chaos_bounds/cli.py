@@ -9,7 +9,10 @@ config file, unwritable --output or --dump-samples), 2 domain error,
 Every leaf command is one row of ``_COMMANDS``: its group, name, handler and
 flags, each flag declared once with its type, default and whether it is
 required.  A flag's type checks it as argparse reads it, so handlers receive
-parsed laws and orders or lengths within MAX_SIZE.  ``build_parser`` builds
+parsed laws and orders or lengths within MAX_SIZE.  The law flags (--mark,
+--power, --offspring) share one grammar, family:p1,p2,... with numeric
+parameters, and differ only in their table of families (``_law_type``), so
+an empty parameter is malformed in each.  ``build_parser`` builds
 argparse from that table; ``main`` builds it once per process and reuses it,
 since parsing never changes a parser.  Each verify gauss scenario is one row
 of ``_SCENARIOS``, the flags it reads; a given flag its row lacks is a usage
@@ -116,52 +119,44 @@ def _req(name: str, type: Callable = float, **more) -> Flag:
     return Flag(name, type, required=True, **more)
 
 
-# the one-parameter mark families, by their name in a mark string
-_MARKS = {"const": ConstantMark, "uniform": UniformMark, "exp": ExponentialMark,
-          "gauss": CenteredGaussianMark}
+def _law_type(what: str, table: dict, expected: str) -> Callable:
+    """The argparse type of a law flag, by the one grammar of every law string:
+    family:p1,p2,..., the family name stripped and case-insensitive and the
+    parameters comma-separated numbers.  Each row of ``table`` maps a family
+    to its law, built from the parameters, and the least and most parameters
+    that law takes.  An empty or non-numeric parameter is a bad-parameters
+    error, and an unknown family or parameter count an unknown-string error
+    that lists ``expected``; both are UnknownFamily, so exit 2."""
+
+    def parse(text: str):
+        fam, _, rest = str(text).partition(":")
+        try:
+            params = [float(tok) for tok in rest.split(",")] if rest else []
+        except ValueError:
+            raise UnknownFamily(f"bad {what} parameters in {text!r}")
+        law, least, most = table.get(fam.strip().lower(), (None, 1, 0))  # an unknown family fits no count
+        if not least <= len(params) <= most:
+            raise UnknownFamily(f"unknown {what} string {text!r}; expected {expected}")
+        return law(*params)
+
+    return parse
 
 
-def parse_mark(text: str):
-    """Decode family:param mark strings (const:1, uniform:2, exp:1,
-    gauss:0.5, custom:m1,m2,...)."""
-    fam, _, rest = str(text).partition(":")
-    fam = fam.strip().lower()
-    try:
-        params = [float(tok) for tok in rest.split(",")] if rest else []
-    except ValueError:
-        raise UnknownFamily(f"bad mark parameters in {text!r}")
-    if len(params) == 1 and fam in _MARKS:
-        return _MARKS[fam](params[0])
-    if fam == "custom" and len(params) >= 2:
-        return CustomAbsMoments(tuple(params))
-    raise UnknownFamily(
-        f"unknown mark string {text!r}; expected const:v, uniform:d, exp:mean, "
-        "gauss:sigma, or custom:m1,m2,..."
-    )
+def _binomial(h: float, p: float) -> Binomial:
+    if not h.is_integer():
+        raise DomainError(f"binomial trial count must be an integer, got {h}")
+    return Binomial(int(h), p)
 
 
-def parse_offspring(text: str):
-    """Decode family:param offspring strings (poisson:h, binomial:h,p,
-    factorial:e1,e2,...)."""
-    fam, _, rest = str(text).partition(":")
-    fam = fam.strip().lower()
-    toks = [t for t in rest.split(",") if t.strip()] if rest else []
-    try:
-        if fam == "poisson" and len(toks) == 1:
-            return PoissonMean(float(toks[0]))
-        if fam == "binomial" and len(toks) == 2:
-            h = float(toks[0])
-            if h != int(h):
-                raise DomainError(f"binomial trial count must be an integer, got {h}")
-            return Binomial(int(h), float(toks[1]))
-        if fam == "factorial" and toks:
-            return FactorialMoments(tuple(float(t) for t in toks))
-    except ValueError:
-        raise UnknownFamily(f"bad offspring parameters in {text!r}")
-    raise UnknownFamily(
-        f"unknown offspring string {text!r}; expected poisson:h, binomial:h,p, "
-        "or factorial:e1,e2,..."
-    )
+parse_mark = _law_type("mark", {
+    "const": (ConstantMark, 1, 1), "uniform": (UniformMark, 1, 1),
+    "exp": (ExponentialMark, 1, 1), "gauss": (CenteredGaussianMark, 1, 1),
+    "custom": (lambda *m: CustomAbsMoments(m), 2, math.inf),
+}, "const:v, uniform:d, exp:mean, gauss:sigma, or custom:m1,m2,...")
+parse_offspring = _law_type("offspring", {
+    "poisson": (PoissonMean, 1, 1), "binomial": (_binomial, 2, 2),
+    "factorial": (lambda *e: FactorialMoments(e), 1, math.inf),
+}, "poisson:h, binomial:h,p, or factorial:e1,e2,...")
 
 
 def _check_size(flag: str, value: int) -> int:

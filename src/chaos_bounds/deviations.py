@@ -100,19 +100,19 @@ def delta_binomial(
     """Cumulant calibration delta for Binomial(h, p) cascades on a window of
     mass lambda_leb.
 
-    For h = 1 the split is on p versus 1/e (cases "(i)1" / "(i)2"); for
-    h >= 2 it is on q = p h (h (1-p) / (h-1))^(h-1) versus 1/e (cases
-    "(ii)1" / "(ii)2").  Boundary values take the first branch.
+    The split is on the cascade pmf's ratio bound q versus 1/e
+    (``Binomial.pmf_ratio_bound``): q = p for h = 1 (cases "(i)1" / "(i)2"),
+    and q = p h (h (1-p) / (h-1))^(h-1) for h >= 2 (cases "(ii)1" /
+    "(ii)2").  Boundary values take the first branch.
     """
-    Binomial(h, p)  # domain + subcriticality checks
+    q = Binomial(h, p).pmf_ratio_bound[0]  # after its domain + subcriticality checks
     check_nonnegative("gamma", gamma)
     root = math.sqrt(check_positive("lambda_leb", lambda_leb))
     if h == 1:
         scale = p / (1.05 * (1.0 - p))
-        if p <= _INV_E:
+        if q <= _INV_E:
             return DeviationParams(gamma, scale * root, "(i)1")
-        return DeviationParams(gamma, scale * math.log(p) ** 4 * root, "(i)2")
-    q = p * h * (h * (1.0 - p) / (h - 1.0)) ** (h - 1)
+        return DeviationParams(gamma, scale * math.log(q) ** 4 * root, "(i)2")
     u = 1.0 + math.sqrt(1.0 + 1.0 / (h - 1.0)) * math.exp(1.0 / 600.0) * (
         1.0 - p
     ) / (p * (h - 1.0) * math.sqrt(2.0 * math.pi))

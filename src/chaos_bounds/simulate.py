@@ -155,6 +155,8 @@ class ClusterModel:
         m, g2 = self.offspring.factorial_moments(2)
         mu1, mu2 = self.mark.mean, self.mark.abs_moment(2)
         r, A = beta * (1.0 - m), mu1 / (1.0 - m)
+        if r * r == 0.0:
+            raise DomainError(f"delay rate {beta!r} is too small: beta^2 (1 - E P)^2 underflows to 0")
         e1, e2 = -math.expm1(-r * T), -math.expm1(-2.0 * r * T)
         c0 = mu2 + 2.0 * mu1 * m * A + g2 * A * A
         c1, c2 = -2.0 * mu1 * m * A - 2.0 * g2 * A * A, g2 * A * A

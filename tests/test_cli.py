@@ -10,7 +10,19 @@ import sys
 
 import pytest
 
-from chaos_bounds import cli
+from chaos_bounds import (
+    Binomial,
+    CenteredGaussianMark,
+    ConstantMark,
+    CustomAbsMoments,
+    DomainError,
+    ExponentialMark,
+    FactorialMoments,
+    PoissonMean,
+    UniformMark,
+    UnknownFamily,
+    cli,
+)
 
 CLI = [sys.executable, "-m", "chaos_bounds.cli"]
 
@@ -380,6 +392,104 @@ def test_a_law_flag_from_a_config_file_is_parsed(tmp_path):
     code, out, err = run_main(*argv.split(), "--config", str(cfg))
     assert code == 2 and out == "", err
     assert err.startswith("error: unknown mark string 'bogus'") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the law-string grammar: family:p1,p2,... for --mark, --power and --offspring
+
+
+@pytest.mark.parametrize("parse, text, law", [
+    (cli.parse_mark, "const:1.5", ConstantMark(1.5)),
+    (cli.parse_mark, "uniform:2", UniformMark(2.0)),
+    (cli.parse_mark, " EXP :2", ExponentialMark(2.0)),
+    (cli.parse_mark, "Gauss: 0.5", CenteredGaussianMark(0.5)),
+    (cli.parse_mark, "custom:1,2,6", CustomAbsMoments((1.0, 2.0, 6.0))),
+    (cli.parse_offspring, "poisson:0.5", PoissonMean(0.5)),
+    (cli.parse_offspring, " Binomial :3,0.2", Binomial(3, 0.2)),
+    (cli.parse_offspring, "factorial:0.5", FactorialMoments((0.5,))),
+    (cli.parse_offspring, "FACTORIAL:0.5,0.1", FactorialMoments((0.5, 0.1))),
+])
+def test_each_law_family_builds_its_law(parse, text, law):
+    got = parse(text)
+    assert got == law and type(got) is type(law)
+    if isinstance(law, Binomial):
+        assert type(got.h) is int
+
+
+@pytest.mark.parametrize("parse, what, text", [
+    (cli.parse_mark, "mark", "const"),
+    (cli.parse_mark, "mark", "const:1,2"),
+    (cli.parse_mark, "mark", "uniform:1,2"),
+    (cli.parse_mark, "mark", "exp:"),
+    (cli.parse_mark, "mark", "gauss:1,2"),
+    (cli.parse_mark, "mark", "custom:1"),
+    (cli.parse_mark, "mark", "poisson:0.5"),
+    (cli.parse_offspring, "offspring", "poisson"),
+    (cli.parse_offspring, "offspring", "poisson:0.5,0.2"),
+    (cli.parse_offspring, "offspring", "binomial:3"),
+    (cli.parse_offspring, "offspring", "binomial:3,0.2,0.1"),
+    (cli.parse_offspring, "offspring", "factorial:"),
+    (cli.parse_offspring, "offspring", "exp:1"),
+])
+def test_an_unknown_family_or_parameter_count_is_an_unknown_law(parse, what, text):
+    with pytest.raises(UnknownFamily, match=f"^unknown {what} string {text!r}; expected "):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse, what, text", [
+    (cli.parse_mark, "mark", "exp:1,"),
+    (cli.parse_mark, "mark", "custom:1,,2"),
+    (cli.parse_mark, "mark", "exp:abc"),
+    (cli.parse_offspring, "offspring", "poisson:,0.5"),
+    (cli.parse_offspring, "offspring", "factorial:0.5,,0.1"),
+    (cli.parse_offspring, "offspring", "binomial:3,abc"),
+])
+def test_an_empty_or_non_numeric_parameter_is_malformed(parse, what, text):
+    with pytest.raises(UnknownFamily, match=f"^bad {what} parameters in {text!r}$"):
+        parse(text)
+
+
+def test_a_binomial_trial_count_must_be_an_integer():
+    with pytest.raises(DomainError, match="binomial trial count must be an integer, got 2.5"):
+        cli.parse_offspring("binomial:2.5,0.2")
+    code, out, err = run_main("moments", "gw", "--offspring", "binomial:2.5,0.2", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: binomial trial count must be an integer, got 2.5\n"
+
+
+# an empty parameter used to be dropped from an offspring string, with exit 0:
+# factorial:0.5,,0.1 read as E(P)_1 = 0.5, E(P)_2 = 0.1
+@pytest.mark.parametrize("law", ["poisson:0.5,", "poisson:,0.5", "binomial:3,0.2,", "factorial:0.5,,0.1"])
+def test_an_empty_offspring_parameter_exit_2(law):
+    code, out, err = run_main("moments", "gw", "--offspring", law, "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad offspring parameters in {law!r}\n"
+
+
+def test_an_empty_offspring_parameter_from_a_config_file_exit_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"offspring": "factorial:0.5,,0.1"}))
+    code, out, err = run_main("moments", "gw", "--n", "2", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: bad offspring parameters in 'factorial:0.5,,0.1'\n"
+
+
+def test_a_custom_mark_with_a_nan_moment_exit_2():
+    argv = "tail cumulant --offspring poisson:0.5 --lambda-leb 1e4 --delta 0.36 --gamma 0 --mark custom:1,nan"
+    code, out, err = run_main(*argv.split())
+    assert (code, out) == (2, "")
+    assert err == "error: absolute moments must be finite and >= 0\n"
+
+
+# r = beta (1 - E P) squared underflows to 0: these used to end in a
+# ZeroDivisionError traceback with exit 1
+@pytest.mark.parametrize("beta", ["1e-300", "1e-170"])
+@pytest.mark.parametrize("command", ["verify gauss --scenario hawkes-poisson", "verify bci"])
+def test_a_delay_rate_whose_square_underflows_exit_2(command, beta):
+    argv = f"{command} --h 0.5 --T 10 --reps 20 --seed 1 --beta {beta}"
+    code, out, err = run_main(*argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: delay rate {beta} is too small") and err.count("\n") == 1
 
 
 def test_moments_abel_rejects_m_before_summing(monkeypatch):

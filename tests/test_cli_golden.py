@@ -111,6 +111,7 @@ CASES = [
     # domain errors: exit 2
     ("delta poisson --h 0.5 --lambda-leb -3", None),
     ("moments gw --offspring weibull:1 --n 2", None),
+    ("moments gw --offspring factorial:0.5,,0.1 --n 2", None),
     ("moments gw --offspring poisson:0.5 --n 200", None),
     ("moments pmf --offspring poisson:0.5 --k-max 0", None),
     ("moments pmf --offspring factorial:0.5 --k-max 3", None),

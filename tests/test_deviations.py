@@ -85,6 +85,11 @@ def test_verify_mark_gamma_gaussian():
     assert not ok and first is not None
 
 
+def test_verify_mark_gamma_skips_a_zero_moment():
+    # log(0) is never taken: a zero moment meets any bound
+    assert verify_mark_gamma([1.0, 1.0, 0.0], 0.0, 3) == (True, None)
+
+
 def test_verify_mark_gamma_validation():
     with pytest.raises(DomainError):
         verify_mark_gamma([1.0, 1.0, 1.0], -0.5, 3)
@@ -239,6 +244,8 @@ def test_cumulant_condition_validation():
         check_cumulant_condition([1.0] * 4, [1.0] * 4, 100.0, 0.0, 1.0, 6)
     with pytest.raises(DomainError):
         check_cumulant_condition([1.0, 0.0, 1.0], [1.0] * 3, 100.0, 0.0, 1.0, 3)
+    with pytest.raises(DomainError, match="order-3 moments must be >= 0"):
+        check_cumulant_condition([1.0, 1.0, -1.0], [1.0, 1.0, 1.0], 100.0, 0.0, 1.0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,9 @@ def test_validation():
         CenteredGaussianMark(0.0)
     with pytest.raises(DomainError):
         CustomAbsMoments((1.0,))
+    for moments in ((1.0, -2.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="absolute moments must be finite and >= 0"):
+            CustomAbsMoments(moments)
     with pytest.raises(DomainError):
         ConstantMark(1.0).abs_moment(0)
 

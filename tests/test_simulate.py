@@ -69,6 +69,23 @@ def test_cluster_model_validation():
         ClusterModel(1.0, 1.0, PoissonMean(0.5), mark=CustomAbsMoments((1.0, 2.0)))
     with pytest.raises(DomainError):
         ClusterModel(1.0, 1.0, PoissonMean(0.5), delay_rate=0.0)
+    with pytest.raises(DomainError, match="unsupported offspring law"):
+        ClusterModel(1.0, 1.0, "poisson:0.5")
+
+
+@pytest.mark.parametrize("law", [PoissonMean(0.5), Binomial(2, 0.25)])
+@pytest.mark.parametrize("beta", [1e-300, 1e-170])
+def test_window_moments_reject_a_delay_rate_whose_square_underflows(law, beta):
+    # r = beta (1 - E P) is positive, but r^2 rounds to 0; this used to raise
+    # ZeroDivisionError
+    with pytest.raises(DomainError, match=f"delay rate {beta!r} is too small"):
+        ClusterModel(1.0, 10.0, law, delay_rate=beta).mean_var()
+
+
+def test_window_moments_at_a_tiny_delay_rate_whose_square_is_subnormal():
+    # beta = 1e-160 leaves r^2 nonzero: no offspring lands inside the window,
+    # so the total is Poisson(lam T)
+    assert ClusterModel(1.0, 10.0, PoissonMean(0.5), delay_rate=1e-160).mean_var() == (10.0, 10.0)
 
 
 def test_interference_model_validation():
